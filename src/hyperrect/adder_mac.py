@@ -77,7 +77,13 @@ def _entropy_grid(grid_points: int) -> tuple[np.ndarray, np.ndarray]:
     return d, h + np.minimum(d, 1.0 - d)
 
 
-@lru_cache(maxsize=None)
+# A feasibility scan looks up each (R1 + R2, rho) several times; a
+# 30-rate by 79-rho scan needs about 1.3k entries.  The bound stops float
+# keys that never repeat across scans from growing the cache without limit.
+_TOTAL_CACHE_SIZE = 1 << 12
+
+
+@lru_cache(maxsize=_TOTAL_CACHE_SIZE)
 def _zero_error_from_total(
     total: float, rho: float, grid_points: int
 ) -> tuple[float, float]:

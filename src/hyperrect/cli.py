@@ -133,6 +133,7 @@ def _cmd_hc(args) -> int:
                 ("q0", solution.q0),
                 ("residual", solution.residual),
                 ("steps", solution.steps),
+                ("evaluations", solution.evaluations),
                 ("bracket_sign_changes", solution.bracket_sign_changes),
             ],
             args.json,

@@ -31,9 +31,15 @@ __all__ = [
 NEG_INF = float("-inf")
 LN2 = math.log(2.0)
 
-# Bisection on [0, 1/2] halves the interval each pass, so 43 passes reach
-# the pinned absolute tolerance 1e-13 in p (0.5 / 2**43 < 1e-13).
-_INV_BISECTIONS = 43
+_LN4 = math.log(4.0)
+
+# Pinned absolute tolerance in p for the entropy inverse.
+_INV_TOL = 1e-13
+
+# Within this of y = 1 the root sits near p = 1/2, where h' -> 0 and
+# h(p) - y cancels to a few ulps of 1; that miss would move p by ~1e-9,
+# so it is taken instead as a difference of deficits 1 - h.
+_DEFICIT_FORM_BELOW = 1e-4
 
 # math.comb is exact for all n, so the cutoff only bounds the cost of
 # taking log2 of a huge integer; beyond it the lgamma route is cheaper
@@ -50,12 +56,24 @@ def binary_entropy(p: float) -> float:
     return -(p * math.log2(p) + (1.0 - p) * math.log2(1.0 - p))
 
 
+def _entropy_deficit(p: float) -> float:
+    """1 - h(p) without cancellation near p = 1/2: with x = 1 - 2p it is
+    (2x atanh(x) + ln(1 - x^2)) / (2 ln 2) ~ x^2 / (2 ln 2)."""
+    x = 1.0 - 2.0 * p
+    return (2.0 * x * math.atanh(x) + math.log1p(-x * x)) / (2.0 * LN2)
+
+
 def binary_entropy_inv(y: float) -> float:
     """Inverse of the binary entropy restricted to [0, 1/2].
 
-    Uses plain bisection to absolute tolerance 1e-13 in p.  Bisection is
-    deliberate: it is monotone and derivative-free, so it cannot be thrown
-    off near p = 0 where h' diverges.
+    Newton steps on h(p) - y inside a bracket [lo, hi] that every
+    evaluation shrinks, to absolute tolerance 1e-13 in p.  A step that
+    leaves the bracket falls back to its midpoint, so near p = 0, where
+    h' diverges, the iteration can never do worse than bisection.  The
+    start is the root of Topsoe's upper bound h(p) <= (4p(1-p))^(1/ln 4),
+    which lies below the root, where Newton on the concave h climbs
+    monotonically.  For y within 1e-4 of 1 the miss is computed as
+    (1 - y) - (1 - h(p)), which keeps p accurate where h flattens out.
     """
     if not 0.0 <= y <= 1.0:
         raise ValueError(f"entropy value must lie in [0, 1], got {y!r}")
@@ -63,13 +81,32 @@ def binary_entropy_inv(y: float) -> float:
         return 0.0
     if y == 1.0:
         return 0.5
+    deficit = 1.0 - y
+    near_half = deficit < _DEFICIT_FORM_BELOW
+    # (1 - sqrt(1 - z)) / 2 with z = y^(ln 4), written to stay accurate
+    # both as y -> 0 and as y -> 1; below y ~ 1e-233 it underflows and
+    # the smallest subnormal stands in.
+    log_z = _LN4 * math.log(y)
+    p = math.exp(log_z) / (2.0 * (1.0 + math.sqrt(-math.expm1(log_z))))
+    p = p or math.ulp(0.0)
     lo, hi = 0.0, 0.5
-    for _ in range(_INV_BISECTIONS):
-        mid = 0.5 * (lo + hi)
-        if binary_entropy(mid) < y:
-            lo = mid
+    while hi - lo > _INV_TOL:
+        if near_half:
+            miss = deficit - _entropy_deficit(p)
         else:
-            hi = mid
+            miss = binary_entropy(p) - y
+        if miss < 0.0:
+            lo = p
+        elif miss > 0.0:
+            hi = p
+        else:
+            return p
+        step = miss / math.log2((1.0 - p) / p)
+        if abs(step) <= _INV_TOL:
+            return min(max(p - step, lo), hi)
+        p -= step
+        if not lo < p < hi:
+            p = 0.5 * (lo + hi)
     return 0.5 * (lo + hi)
 
 

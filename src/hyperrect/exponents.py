@@ -112,18 +112,22 @@ def _check_rho_closed(rho: float) -> None:
         raise ValueError(f"correlation must lie in [0, 1], got {rho!r}")
 
 
+def _sphere_radii(alpha: float, beta: float) -> tuple[float, float, float]:
+    """(smaller rate, its radius r_a, the other radius r_b), r = h_inv(rate)."""
+    if alpha > beta:
+        alpha, beta = beta, alpha
+    _check_rate(alpha, "alpha")
+    _check_rate(beta, "beta")
+    return alpha, binary_entropy_inv(alpha), binary_entropy_inv(beta)
+
+
 def feasible_distance_interval(alpha: float, beta: float) -> tuple[float, float]:
     """Distances achievable between points of spheres of rates alpha, beta.
 
     With radii r_a = h_inv(alpha) <= r_b = h_inv(beta) (after swapping),
     the interval is [r_b - r_a, r_b + r_a].
     """
-    if alpha > beta:
-        alpha, beta = beta, alpha
-    _check_rate(alpha, "alpha")
-    _check_rate(beta, "beta")
-    r_a = binary_entropy_inv(alpha)
-    r_b = binary_entropy_inv(beta)
+    _, r_a, r_b = _sphere_radii(alpha, beta)
     return r_b - r_a, r_b + r_a
 
 
@@ -140,14 +144,14 @@ def w_d(alpha: float, beta: float, d: float) -> float:
     is zero, so the value is ``NEG_INF``.  Concave in d on the interval,
     maximized with value alpha + beta at d = phi(alpha, beta).
     """
-    if alpha > beta:
-        alpha, beta = beta, alpha
-    _check_rate(alpha, "alpha")
-    _check_rate(beta, "beta")
+    alpha, r_a, r_b = _sphere_radii(alpha, beta)
     if not 0.0 <= d <= 1.0:
         raise ValueError(f"normalized distance must lie in [0, 1], got {d!r}")
-    r_a = binary_entropy_inv(alpha)
-    r_b = binary_entropy_inv(beta)
+    return _w_d_from_radii(alpha, r_a, r_b, d)
+
+
+def _w_d_from_radii(alpha: float, r_a: float, r_b: float, d: float) -> float:
+    """`w_d` for the smaller rate alpha with its radius r_a <= r_b given."""
     if d < r_b - r_a or d > r_b + r_a:
         return NEG_INF
     inner = 0.5 + (r_b - d) / (2.0 * r_a)
@@ -181,7 +185,7 @@ def sphere_exponent(
     _check_rho_strict(rho)
     if centers not in ("same", "opposite"):
         raise ValueError(f"centers must be 'same' or 'opposite', got {centers!r}")
-    lo, hi = feasible_distance_interval(alpha, beta)
+    small_rate, r_a, r_b = _sphere_radii(alpha, beta)
     distance_log = math.log2((1.0 - rho) / (1.0 + rho))
     if centers == "same":
         sign, kind = 1.0, "sphere_same"
@@ -191,9 +195,9 @@ def sphere_exponent(
         prefactor = 2.0 - math.log2(1.0 - rho)
 
     def objective(d: float) -> float:
-        return w_d(alpha, beta, d) + sign * d * distance_log
+        return _w_d_from_radii(small_rate, r_a, r_b, d) + sign * d * distance_log
 
-    d_opt, peak = golden_section_maximize(objective, lo, hi)
+    d_opt, peak = golden_section_maximize(objective, r_b - r_a, r_b + r_a)
     return _bound(prefactor - peak, kind, d_opt=d_opt)
 
 

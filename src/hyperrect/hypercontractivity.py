@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Callable
 
 from .entropy import LN2, binary_entropy_inv
 from .exponents import ExponentBound, KIND_DIRECTION
@@ -81,10 +82,11 @@ def c_function(lam: float) -> float:
 
     Defined by the parametrization C(ln 2 (1 - h(y))) =
     (2 - 4 sqrt(y(1-y))) / (ln 2 (1 - h(y))) for y in [0, 1/2]; the
-    inversion runs through the bisection entropy inverse.  lam = 0 is a
-    removable singularity handled by a short series.
+    inversion runs through the Newton-in-bracket entropy inverse.  lam = 0
+    is a removable singularity handled by a short series.  NaN is a domain
+    violation like any other argument outside the interval.
     """
-    if lam < -C_DOMAIN_TOL or lam > LN2 + C_DOMAIN_TOL:
+    if not -C_DOMAIN_TOL <= lam <= LN2 + C_DOMAIN_TOL:
         raise DomainViolationError(lam)
     lam = min(max(lam, 0.0), LN2)
     if lam < _C_SERIES_CUTOFF:
@@ -95,7 +97,7 @@ def c_function(lam: float) -> float:
 
 def _drive(u: float, b: float, t: float) -> float:
     argument = b * (1.0 + math.exp(-u))
-    if argument < -C_DOMAIN_TOL or argument > LN2 + C_DOMAIN_TOL:
+    if not -C_DOMAIN_TOL <= argument <= LN2 + C_DOMAIN_TOL:
         raise DomainViolationError(argument, t)
     return c_function(argument)
 
@@ -120,13 +122,15 @@ def _solve_u(a: float, b: float, t: float, tol: float) -> tuple[float, int]:
     steps = max(4, min(1 << 12, math.ceil(t / 0.01)))
     prev = _rk4(a, b, t, steps)
     total = steps
-    while steps < _MAX_STEPS:
+    while math.isfinite(prev) and steps < _MAX_STEPS:
         steps *= 2
         cur = _rk4(a, b, t, steps)
         total += steps
         if abs(cur - prev) < tol:
             return cur, total
         prev = cur
+    if not math.isfinite(prev):
+        raise ValueError(f"integration to t={t!r} returned {prev!r} after {steps} steps")
     raise RuntimeError(
         f"step halving did not converge below {tol} within {_MAX_STEPS} steps"
     )
@@ -142,10 +146,12 @@ def solve_u(
     fixed-step pass instead (an order-of-convergence diagnostic).
     Nondecreasing in t since C >= 2 > 0; t = 0 returns a exactly.
     """
-    if t < 0.0:
-        raise ValueError(f"time must be nonnegative, got {t!r}")
+    if not 0.0 <= t < math.inf:
+        raise ValueError(f"time must be finite and nonnegative, got {t!r}")
+    if not (math.isfinite(a) and math.isfinite(b)):
+        raise ValueError(f"a and b must be finite, got a={a!r}, b={b!r}")
     initial = b * (1.0 + math.exp(-a))
-    if initial < -C_DOMAIN_TOL or initial > LN2 + C_DOMAIN_TOL:
+    if not -C_DOMAIN_TOL <= initial <= LN2 + C_DOMAIN_TOL:
         raise DomainViolationError(initial, 0.0)
     if steps is not None:
         if steps < 1:
@@ -160,8 +166,10 @@ class HcSolution:
 
     ``q = 1 + e^a`` is the improved norm index at time t; ``residual``
     is the terminal mismatch |u(t) - ln(q0 - 1)|; ``steps`` counts RK4
-    steps across the whole solve; ``bracket_sign_changes`` reports how
-    many roots the coarse scan saw (1 means locally unique).
+    steps across the whole solve; ``evaluations`` counts its ODE solves,
+    the scan points plus the root iterations, the last of which gives the
+    residual; ``bracket_sign_changes`` reports how many roots the coarse
+    scan saw (1 means locally unique).
     """
 
     t: float
@@ -172,6 +180,7 @@ class HcSolution:
     q: float
     residual: float
     steps: int
+    evaluations: int
     bracket_sign_changes: int
 
     def __post_init__(self) -> None:
@@ -189,27 +198,76 @@ class HcSolution:
             raise ValueError(f"norm index {self.q!r} outside (1, q0={self.q0!r}]")
 
 
+def _brent_root(
+    f: Callable[[float], float], a: float, b: float, fa: float, fb: float, tol: float
+) -> tuple[float, float, int]:
+    """Root of f in [a, b], where fa = f(a) and fb = f(b) differ in sign.
+
+    Brent's method (Brent 1973, ch. 4, the zeroin algorithm): inverse
+    quadratic or secant steps, replaced by a bisection step whenever they
+    would leave the bracket or shrink it too slowly.  Stops once the
+    bracket around the best point b is narrower than ``tol``; returns
+    (b, f(b), iterations).
+    """
+    c, fc = a, fa
+    d = e = b - a
+    iterations = 0
+    while True:
+        if fb * math.copysign(1.0, fc) > 0.0:
+            c, fc = a, fa
+            d = e = b - a
+        if abs(fc) < abs(fb):
+            a, b, c = b, c, b
+            fa, fb, fc = fb, fc, fb
+        tol1 = 0.5 * tol
+        m = 0.5 * (c - b)
+        if abs(m) <= tol1 or fb == 0.0:
+            return b, fb, iterations
+        if abs(e) < tol1 or abs(fa) <= abs(fb):
+            d = e = m
+        else:
+            s = fb / fa
+            if a == c:
+                p, q = 2.0 * m * s, 1.0 - s
+            else:
+                q, r = fa / fc, fb / fc
+                p = s * (2.0 * m * q * (q - r) - (b - a) * (r - 1.0))
+                q = (q - 1.0) * (r - 1.0) * (s - 1.0)
+            if p > 0.0:
+                q = -q
+            p = abs(p)
+            if 2.0 * p < min(3.0 * m * q - abs(tol1 * q), abs(e * q)):
+                e, d = d, p / q
+            else:
+                d = e = m
+        a, fa = b, fb
+        b += d if abs(d) > tol1 else math.copysign(tol1, m)
+        fb = f(b)
+        iterations += 1
+
+
 def solve_q(alpha: float, q0: float, t: float) -> HcSolution:
     """Shooting solve: the a with b = (1-alpha) ln 2 / (1 + e^-a) such
     that u(t) from `solve_u` equals ln(q0 - 1).
 
-    Bisection over a in [ln(q0-1) - 5, ln(q0-1)] after a coarse
-    sign-change scan; no sign change means t is beyond the certified
-    existence range and raises :class:`ShootingRangeError` rather than
-    extrapolating.  t = 0 returns q = q0 exactly; q(t) decreases in t
-    on the solved range.
+    A coarse sign-change scan of a over [ln(q0-1) - 5, ln(q0-1)], then
+    Brent's method on the last bracket it found; no sign change means t
+    is beyond the certified existence range and raises
+    :class:`ShootingRangeError` rather than extrapolating.  t = 0 returns
+    q = q0 exactly; q(t) decreases in t on the solved range.
 
     alpha = 0 is rejected: the drive would start exactly at the ln 2
     endpoint of C's domain, where C has a square-root singularity that
     ruins the integrator's convergence order.  Callers certifying a
     singleton should pass any positive rate covering it (1/n does).
+    NaN and infinite arguments are rejected with ValueError.
     """
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"rate must lie in (0, 1), got {alpha!r}")
-    if q0 <= 1.0:
-        raise ValueError(f"norm index must exceed 1, got {q0!r}")
-    if t < 0.0:
-        raise ValueError(f"time must be nonnegative, got {t!r}")
+    if not 1.0 < q0 < math.inf:
+        raise ValueError(f"norm index must be finite and exceed 1, got {q0!r}")
+    if not 0.0 <= t < math.inf:
+        raise ValueError(f"time must be finite and nonnegative, got {t!r}")
     target = math.log(q0 - 1.0)
     drive_level = (1.0 - alpha) * LN2
 
@@ -223,6 +281,7 @@ def solve_q(alpha: float, q0: float, t: float) -> HcSolution:
             q=q0,
             residual=0.0,
             steps=0,
+            evaluations=0,
             bracket_sign_changes=1,
         )
 
@@ -241,7 +300,7 @@ def solve_q(alpha: float, q0: float, t: float) -> HcSolution:
     ]
     values = [miss(a) for a in scan]
     brackets = [
-        (scan[k], scan[k + 1])
+        k
         for k in range(len(scan) - 1)
         if (values[k] <= 0.0) != (values[k + 1] <= 0.0)
     ]
@@ -250,17 +309,10 @@ def solve_q(alpha: float, q0: float, t: float) -> HcSolution:
             f"no sign change for a in [{scan[0]!r}, {scan[-1]!r}] at t={t!r}; "
             "the time lies beyond the certified existence range"
         )
-    lo, hi = brackets[-1]
-    f_lo = values[scan.index(lo)]
-    while hi - lo > _SHOOT_A_TOL:
-        mid = 0.5 * (lo + hi)
-        f_mid = miss(mid)
-        if (f_mid <= 0.0) == (f_lo <= 0.0):
-            lo, f_lo = mid, f_mid
-        else:
-            hi = mid
-    root = 0.5 * (lo + hi)
-    residual = abs(miss(root))
+    k = brackets[-1]
+    root, f_root, iterations = _brent_root(
+        miss, scan[k], scan[k + 1], values[k], values[k + 1], _SHOOT_A_TOL
+    )
     return HcSolution(
         t=t,
         alpha=alpha,
@@ -268,8 +320,9 @@ def solve_q(alpha: float, q0: float, t: float) -> HcSolution:
         a=root,
         b=drive_level / (1.0 + math.exp(-root)),
         q=1.0 + math.exp(root),
-        residual=residual,
+        residual=abs(f_root),
         steps=steps_total,
+        evaluations=len(scan) + iterations,
         bracket_sign_changes=len(brackets),
     )
 

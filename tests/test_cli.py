@@ -208,6 +208,7 @@ class TestHcCommand:
         sol = solve_q(0.5, 2.0, 0.05)
         assert payload["q"] == sol.q
         assert payload["residual"] <= 1e-9
+        assert payload["evaluations"] == sol.evaluations
 
     def test_psi_at_rho(self, capsys):
         code, out, _ = run_cli(
@@ -230,6 +231,14 @@ class TestHcCommand:
 
     def test_out_of_range_exit_2(self, capsys):
         code, _, err = run_cli(capsys, "hc", "--alpha", "0.5", "--t", "5.0")
+        assert code == 2
+        assert "error:" in err
+
+    @pytest.mark.parametrize(
+        "argv", [("--q0", "inf", "--t", "0.1"), ("--t", "nan"), ("--q0", "nan", "--t", "0.1")]
+    )
+    def test_non_finite_exit_2(self, capsys, argv):
+        code, _, err = run_cli(capsys, "hc", "--alpha", "0.5", *argv)
         assert code == 2
         assert "error:" in err
 

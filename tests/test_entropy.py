@@ -36,6 +36,20 @@ def mp_entropy(p):
         return float(-(p * mpmath.log(p, 2) + q * mpmath.log(q, 2)))
 
 
+def mp_entropy_inv(y):
+    """Independent h_inv(y) on [0, 1/2]: bisection at 40 digits to 4e-20."""
+    with mpmath.workdps(40):
+        y = mpmath.mpf(y)
+        lo, hi = mpmath.mpf(0), mpmath.mpf(0.5)
+        for _ in range(64):
+            mid = (lo + hi) / 2
+            if -(mid * mpmath.log(mid, 2) + (1 - mid) * mpmath.log(1 - mid, 2)) < y:
+                lo = mid
+            else:
+                hi = mid
+        return float((lo + hi) / 2)
+
+
 class TestBinaryEntropy:
     def test_maximum(self):
         assert binary_entropy(0.5) == 1.0
@@ -94,6 +108,31 @@ class TestBinaryEntropyInv:
         ys = [i / 200 for i in range(201)]
         ps = [binary_entropy_inv(y) for y in ys]
         assert all(a < b for a, b in zip(ps, ps[1:]))
+
+    @pytest.mark.parametrize("y", [5e-324, 1e-300, 1e-15, 1 - 2**-52, 1 - 1e-15])
+    def test_stress_points_against_mpmath(self, y):
+        # Near 0 h' diverges; near 1 h flattens and h(p) - y cancels.
+        assert abs(binary_entropy_inv(y) - mp_entropy_inv(y)) <= 1e-13
+
+    def test_random_against_mpmath(self):
+        rng = random.Random(11)
+        ys = (
+            [rng.random() for _ in range(40)]
+            + [10 ** rng.uniform(-300, -1) for _ in range(20)]
+            + [1 - 10 ** rng.uniform(-16, -1) for _ in range(20)]
+        )
+        for y in ys:
+            assert abs(binary_entropy_inv(y) - mp_entropy_inv(y)) <= 1e-13, y
+
+    def test_monotone_on_seeded_draws(self):
+        rng = random.Random(5)
+        ys = sorted(
+            [rng.random() for _ in range(3000)]
+            + [10 ** rng.uniform(-300, -1) for _ in range(500)]
+            + [1 - 10 ** rng.uniform(-16, -1) for _ in range(500)]
+        )
+        ps = [binary_entropy_inv(y) for y in ys]
+        assert all(a <= b for a, b in zip(ps, ps[1:]))
 
     def test_scalar_convexity_of_variance_curve(self):
         # x -> h_inv(x) * (1 - h_inv(x)) is convex; midpoint test on a grid.

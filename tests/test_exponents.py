@@ -11,6 +11,7 @@ import random
 
 import pytest
 
+import hyperrect.exponents as exponents_module
 from hyperrect import (
     NEG_INF,
     ExponentBound,
@@ -30,6 +31,7 @@ from hyperrect import (
     thm2_expansion,
     w_d,
 )
+from hyperrect.optimize import golden_section_maximize
 
 
 class TestWd:
@@ -140,6 +142,34 @@ class TestSphereExponent:
             same = sphere_exponent(alpha, beta, rho, centers="same")
             opp = sphere_exponent(alpha, beta, rho, centers="opposite")
             assert opp.value >= same.value - 1e-9
+
+    def test_matches_objective_built_on_w_d(self):
+        # Hoisting the radii out of the objective changes no bit.
+        rng = random.Random(47)
+        for _ in range(10):
+            alpha, beta = rng.uniform(0.05, 1.0), rng.uniform(0.05, 1.0)
+            rho = rng.uniform(0.0, 0.95)
+            for centers, sign in [("same", 1.0), ("opposite", -1.0)]:
+                distance_log = math.log2((1 - rho) / (1 + rho))
+                lo, hi = feasible_distance_interval(alpha, beta)
+                d_opt, peak = golden_section_maximize(
+                    lambda d: w_d(alpha, beta, d) + sign * d * distance_log, lo, hi
+                )
+                b = sphere_exponent(alpha, beta, rho, centers=centers)
+                assert b.d_opt == d_opt
+                prefactor = 2 - math.log2(1 + sign * rho)
+                assert b.value == prefactor - peak
+
+    def test_two_entropy_inverses_per_call(self, monkeypatch):
+        calls = []
+
+        def counted(y):
+            calls.append(y)
+            return binary_entropy_inv(y)
+
+        monkeypatch.setattr(exponents_module, "binary_entropy_inv", counted)
+        sphere_exponent(0.5, 0.3, 0.9)
+        assert sorted(calls) == [0.3, 0.5]
 
     def test_bad_centers(self):
         with pytest.raises(ValueError):

@@ -13,6 +13,7 @@ import random
 import numpy as np
 import pytest
 
+import hyperrect.hypercontractivity as hc_module
 from hyperrect import (
     CubeSet,
     DomainViolationError,
@@ -29,6 +30,30 @@ from hyperrect import (
 )
 
 LN2 = math.log(2)
+
+
+def bisection_q(alpha, q0, t):
+    """Independent oracle for q(t): the same 9-point sign-change scan of
+    a over [ln(q0-1) - 5, ln(q0-1)], then plain bisection on the last
+    bracket down to width 1e-12."""
+    target = math.log(q0 - 1)
+    level = (1 - alpha) * LN2
+
+    def miss(a):
+        return solve_u(a, level / (1 + math.exp(-a)), t) - target
+
+    scan = [target - 5 + 5 * k / 8 for k in range(9)]
+    values = [miss(a) for a in scan]
+    k = max(k for k in range(8) if (values[k] <= 0) != (values[k + 1] <= 0))
+    lo, hi, f_lo = scan[k], scan[k + 1], values[k]
+    while hi - lo > 1e-12:
+        mid = 0.5 * (lo + hi)
+        f_mid = miss(mid)
+        if (f_mid <= 0) == (f_lo <= 0):
+            lo, f_lo = mid, f_mid
+        else:
+            hi = mid
+    return 1 + math.exp(0.5 * (lo + hi))
 
 
 def lam_at(y):
@@ -85,6 +110,11 @@ class TestCFunction:
         with pytest.raises(DomainViolationError):
             c_function(LN2 + 1e-6)
 
+    @pytest.mark.parametrize("lam", [math.nan, math.inf, -math.inf])
+    def test_non_finite_is_domain_violation(self, lam):
+        with pytest.raises(DomainViolationError):
+            c_function(lam)
+
 
 class TestSolveU:
     def test_identity_at_zero(self):
@@ -132,6 +162,29 @@ class TestSolveU:
     def test_negative_t_rejected(self):
         with pytest.raises(ValueError):
             solve_u(0.0, 0.1, -0.01)
+
+    @pytest.mark.parametrize(
+        "a, b, t",
+        [(math.nan, 0.1, 0.1), (0.0, math.nan, 0.1), (0.0, math.inf, 0.1),
+         (-math.inf, 0.1, 0.1), (0.0, 0.1, math.nan), (0.0, 0.1, math.inf)],
+    )
+    def test_non_finite_rejected(self, a, b, t):
+        with pytest.raises(ValueError):
+            solve_u(a, b, t)
+
+    def test_non_finite_pass_raises_at_once(self, monkeypatch):
+        # A NaN pass never meets |cur - prev| < tol; it must raise rather
+        # than keep halving the step toward 2**20 steps.
+        passes = []
+
+        def nan_pass(a, b, t, steps):
+            passes.append(steps)
+            return math.nan
+
+        monkeypatch.setattr(hc_module, "_rk4", nan_pass)
+        with pytest.raises(ValueError, match="returned nan"):
+            solve_u(0.0, 0.1, 0.1)
+        assert len(passes) == 1
 
     def test_fixed_step_override_matches_adaptive(self):
         a = -0.3
@@ -210,6 +263,31 @@ class TestSolveQ:
         with pytest.raises(ValueError):
             solve_q(0.5, 1.0, 0.01)
 
+    @pytest.mark.parametrize(
+        "alpha, q0, t",
+        [(0.5, math.inf, 0.1), (0.5, math.nan, 0.1), (0.5, 2.0, math.nan),
+         (0.5, 2.0, math.inf), (math.nan, 2.0, 0.1)],
+    )
+    def test_non_finite_rejected(self, alpha, q0, t):
+        with pytest.raises(ValueError):
+            solve_q(alpha, q0, t)
+
+    def test_matches_bisection_oracle(self):
+        rng = random.Random(23)
+        for _ in range(6):
+            alpha, q0, t = rng.uniform(0.1, 0.9), rng.uniform(1.5, 4.0), rng.uniform(0.01, 0.12)
+            assert solve_q(alpha, q0, t).q == pytest.approx(bisection_q(alpha, q0, t), abs=1e-10)
+
+    def test_root_finder_step_count(self):
+        # Bisection on a took 1780 RK4 steps here; a slide back fails this.
+        assert solve_q(0.5, 2.0, 0.1).steps <= 800
+
+    def test_evaluations_count_the_ode_solves(self):
+        sol = solve_q(0.5, 2.0, 0.1)
+        # Nine scan points, then at least one root iteration.
+        assert 9 < sol.evaluations < 9 + 40
+        assert solve_q(0.5, 2.0, 0.0).evaluations == 0
+
 
 class TestPsiBound:
     def test_rho_one_limit(self):
@@ -256,6 +334,13 @@ class TestPsiBound:
             psi_bound(0.5, 0.95, split=-0.1)
         with pytest.raises(ValueError):
             psi_bound(0.5, 0.95, split=1.1)
+
+    def test_matches_bisection_oracle(self):
+        for alpha, rho in [(0.3, 0.9), (0.5, 0.8), (0.7, 0.95)]:
+            q = bisection_q(alpha, 2.0, -math.log(rho) / 2)
+            assert psi_bound(alpha, rho).value == pytest.approx(
+                2 * (1 - alpha) / q, abs=1e-10
+            )
 
     def test_propagates_out_of_range(self):
         with pytest.raises(ShootingRangeError):
