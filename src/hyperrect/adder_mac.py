@@ -16,11 +16,11 @@ from functools import lru_cache
 
 import numpy as np
 
-from .entropy import binary_entropy
+from .entropy import binary_entropy, phi
 from .exponents import (
     ExponentBound,
     KIND_DIRECTION,
-    avgdist_lower_exponent,
+    _avgdist_from_phi,
     morss_lower_exponent,
 )
 from .optimize import golden_section_maximize
@@ -68,7 +68,8 @@ def van_tilborg_wd_cap(d: float, pair: RatePair) -> float:
     return min(pair.total, binary_entropy(d) + min(d, 1.0 - d))
 
 
-@lru_cache(maxsize=None)
+# Keyed on the grid size, which callers almost never vary.
+@lru_cache(maxsize=8)
 def _entropy_grid(grid_points: int) -> tuple[np.ndarray, np.ndarray]:
     d = np.linspace(0.0, 1.0, grid_points)
     inner = d[1:-1]
@@ -184,11 +185,13 @@ def feasibility_scan(
     r2_descending = sorted(r2_values, reverse=True)
 
     def excluded(r1: float, r2: float) -> bool:
+        # phi does not depend on rho; the grids are already checked.
+        low = phi(r1, r2)
         for rho in rho_values:
             upper, _ = _zero_error_from_total(r1 + r2, rho, grid_points)
             lower = min(
                 morss_lower_exponent(r1, r2, rho).value,
-                avgdist_lower_exponent(r1, r2, rho).value,
+                _avgdist_from_phi(r1, r2, rho, low).value,
             )
             if upper > lower + margin:
                 return True

@@ -244,8 +244,16 @@ def avgdist_lower_exponent(alpha: float, beta: float, rho: float) -> ExponentBou
     _check_rate(alpha, "alpha")
     _check_rate(beta, "beta")
     _check_rho_strict(rho)
+    return _avgdist_from_phi(alpha, beta, rho, phi(alpha, beta))
+
+
+def _avgdist_from_phi(
+    alpha: float, beta: float, rho: float, low: float
+) -> ExponentBound:
+    """`avgdist_lower_exponent` given low = phi(alpha, beta), for callers
+    that have checked the arguments and reuse phi across many rho."""
     distance_log = math.log2((1.0 - rho) / (1.0 + rho)) if rho > 0.0 else 0.0
-    tail = -math.log2(1.0 - rho) + phi(alpha, beta) * distance_log
+    tail = -math.log2(1.0 - rho) + low * distance_log
     return _bound((1.0 - alpha) + (1.0 - beta) + tail, "avgdist_lower")
 
 

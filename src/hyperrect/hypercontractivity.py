@@ -119,7 +119,8 @@ def _rk4(a: float, b: float, t: float, steps: int) -> float:
 def _solve_u(a: float, b: float, t: float, tol: float) -> tuple[float, int]:
     if t == 0.0:
         return a, 0
-    steps = max(4, min(1 << 12, math.ceil(t / 0.01)))
+    # Clamped before ceil so a huge t cannot overflow to an infinite count.
+    steps = max(4, math.ceil(min(t / 0.01, 1 << 12)))
     prev = _rk4(a, b, t, steps)
     total = steps
     while math.isfinite(prev) and steps < _MAX_STEPS:
@@ -253,8 +254,9 @@ def solve_q(alpha: float, q0: float, t: float) -> HcSolution:
     A coarse sign-change scan of a over [ln(q0-1) - 5, ln(q0-1)], then
     Brent's method on the last bracket it found; no sign change means t
     is beyond the certified existence range and raises
-    :class:`ShootingRangeError` rather than extrapolating.  t = 0 returns
-    q = q0 exactly; q(t) decreases in t on the solved range.
+    :class:`ShootingRangeError` rather than extrapolating.  Any t > 2.5
+    raises it before the scan, since C >= 2 rules out a sign change there.
+    t = 0 returns q = q0 exactly; q(t) decreases in t on the solved range.
 
     alpha = 0 is rejected: the drive would start exactly at the ln 2
     endpoint of C's domain, where C has a square-root singularity that
@@ -270,6 +272,15 @@ def solve_q(alpha: float, q0: float, t: float) -> HcSolution:
         raise ValueError(f"time must be finite and nonnegative, got {t!r}")
     target = math.log(q0 - 1.0)
     drive_level = (1.0 - alpha) * LN2
+    # C >= 2 gives u(t) >= a + 2t, so past this t every scan point from
+    # target - width up overshoots the target: the scan could find no
+    # sign change, and for a huge t it would step-halve toward _MAX_STEPS.
+    if t > _SHOOT_BRACKET_WIDTH / 2.0:
+        raise ShootingRangeError(
+            f"no a in [{target - _SHOOT_BRACKET_WIDTH!r}, {target!r}] can reach "
+            f"the target at t={t!r} > {_SHOOT_BRACKET_WIDTH / 2.0!r}; "
+            "the time lies beyond the certified existence range"
+        )
 
     if t == 0.0:
         return HcSolution(

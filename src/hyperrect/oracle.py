@@ -62,17 +62,6 @@ _SPHERE_ENUM_LIMIT = 10**7
 _PAIR_CHUNK = 1 << 22
 
 
-if hasattr(int, "bit_count"):
-
-    def _popcount(x: int) -> int:
-        return x.bit_count()
-
-else:  # pragma: no cover - Python < 3.10 fallback
-
-    def _popcount(x: int) -> int:
-        return bin(x).count("1")
-
-
 def _check_dim(n: int) -> None:
     if not isinstance(n, int) or isinstance(n, bool):
         raise ValueError(f"dimension must be an int, got {n!r}")
@@ -355,7 +344,7 @@ def rectangle_prob_direct(
     total = 0.0
     for x in a.members:
         for y in b.members:
-            total += powers[_popcount(x ^ y)]
+            total += powers[(x ^ y).bit_count()]
     return min(math.log2(total), 0.0)
 
 
@@ -381,7 +370,7 @@ def rectangle_prob_direct_fraction(
     total = Fraction(0)
     for x in a.members:
         for y in b.members:
-            total += powers[_popcount(x ^ y)]
+            total += powers[(x ^ y).bit_count()]
     return total
 
 

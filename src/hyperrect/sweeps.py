@@ -3,8 +3,6 @@
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from itertools import product
 from typing import Callable, Mapping
@@ -23,26 +21,11 @@ __all__ = [
     "run_sweep",
     "figure_phi_surface",
     "convergence_study",
-    "worker_count",
 ]
 
 
 class SweepError(RuntimeError):
     """A core operation failed at an identified grid point."""
-
-
-def worker_count() -> int:
-    """Worker cap: HYPERRECT_THREADS if set, else machine parallelism."""
-    env = os.environ.get("HYPERRECT_THREADS")
-    if env is None:
-        return os.cpu_count() or 1
-    try:
-        value = int(env)
-    except ValueError:
-        raise ValueError(f"HYPERRECT_THREADS must be an integer, got {env!r}")
-    if value < 1:
-        raise ValueError(f"HYPERRECT_THREADS must be >= 1, got {value!r}")
-    return value
 
 
 @dataclass(frozen=True)
@@ -161,16 +144,10 @@ class ResultTable:
 
 
 def _format_cell(cell) -> str:
-    if isinstance(cell, str):
-        return cell
-    if isinstance(cell, int):
+    # repr(float) already spells inf, -inf and nan.
+    if isinstance(cell, (str, int)):
         return str(cell)
-    value = float(cell)
-    if math.isinf(value):
-        return "inf" if value > 0 else "-inf"
-    if math.isnan(value):
-        return "nan"
-    return repr(value)
+    return repr(float(cell))
 
 
 @dataclass(frozen=True)
@@ -311,13 +288,8 @@ def run_sweep(spec: SweepSpec) -> ResultTable:
             ) from exc
         return combo + tuple(outputs)
 
-    combos = list(product(*axis_points)) if axis_points else [()]
-    workers = worker_count()
-    if workers > 1 and len(combos) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(evaluate, combos))
-    else:
-        rows = [evaluate(combo) for combo in combos]
+    combos = product(*axis_points) if axis_points else [()]
+    rows = [evaluate(combo) for combo in combos]
     table = ResultTable(tuple(axis_names) + op.outputs, tuple(rows))
     if spec.out_path is not None:
         table.write_csv(spec.out_path)
@@ -325,15 +297,20 @@ def run_sweep(spec: SweepSpec) -> ResultTable:
 
 
 def figure_phi_surface(grid_count: int) -> ResultTable:
-    """The phi surface on the uniform [0,1]^2 grid (columns x, y, phi)."""
-    spec = SweepSpec(
-        operation="phi",
-        axes=(
-            AxisSpec("x", 0.0, 1.0, grid_count),
-            AxisSpec("y", 0.0, 1.0, grid_count),
-        ),
-    )
-    return run_sweep(spec)
+    """The phi surface on the uniform [0,1]^2 grid (columns x, y, phi).
+
+    phi(x, y) = h_inv(x) * h_inv(y) under `star` is separable, so each
+    axis point is inverted once; the cells equal `entropy.phi` bit for bit
+    and the rows come in the same x-major order as the generic sweep.
+    """
+    points = AxisSpec("x", 0.0, 1.0, grid_count).points()
+    inverses = [entropy.binary_entropy_inv(p) for p in points]
+    rows = [
+        (x, y, entropy.star(rx, ry))
+        for x, rx in zip(points, inverses)
+        for y, ry in zip(points, inverses)
+    ]
+    return ResultTable(("x", "y", "phi"), rows)
 
 
 def _nearest_int(x: float) -> int:

@@ -6,9 +6,12 @@ grid-refinement stability) on grids small enough to run in seconds.
 """
 
 import math
+from unittest import mock
 
 import pytest
 
+import hyperrect.adder_mac as adder_mac_module
+import hyperrect.entropy as entropy_module
 from hyperrect import (
     FeasibilityFrontier,
     RatePair,
@@ -164,6 +167,16 @@ class TestFeasibilityScan:
                 excluded = True
                 break
         assert excluded
+
+    def test_phi_inverted_once_per_rate_pair(self):
+        # phi(r1, r2) does not depend on rho: one pair, ten rhos, two inverses.
+        inverse = entropy_module.binary_entropy_inv
+        with mock.patch.object(entropy_module, "binary_entropy_inv", wraps=inverse) as spy:
+            feasibility_scan([0.3], [i / 11 for i in range(1, 11)], r2_grid=[0.2])
+        assert spy.call_count == 2
+
+    def test_entropy_grid_cache_bounded(self):
+        assert adder_mac_module._entropy_grid.cache_info().maxsize is not None
 
     def test_grid_refinement_stability(self):
         # Doubling the r2 grid density moves the frontier at most one

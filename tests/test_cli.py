@@ -234,6 +234,13 @@ class TestHcCommand:
         assert code == 2
         assert "error:" in err
 
+    def test_huge_t_exit_2(self, capsys):
+        code, _, err = run_cli(
+            capsys, "hc", "--alpha", "0.5", "--q0", "2", "--t", "1e307"
+        )
+        assert code == 2
+        assert "error:" in err
+
     @pytest.mark.parametrize(
         "argv", [("--q0", "inf", "--t", "0.1"), ("--t", "nan"), ("--q0", "nan", "--t", "0.1")]
     )

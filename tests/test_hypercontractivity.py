@@ -9,6 +9,7 @@ of the norm inequality they certify.
 
 import math
 import random
+import time
 
 import numpy as np
 import pytest
@@ -252,6 +253,14 @@ class TestSolveQ:
     def test_out_of_range_reported(self):
         with pytest.raises(ShootingRangeError):
             solve_q(0.5, 2.0, 5.0)
+
+    def test_huge_t_refused_before_the_scan(self):
+        # C >= 2 rules out a root for t > 2.5, so no ODE is integrated.
+        start = time.perf_counter()
+        for t in (1e3, 1e307):
+            with pytest.raises(ShootingRangeError):
+                solve_q(0.5, 2.0, t)
+        assert time.perf_counter() - start < 0.1
 
     def test_bad_alpha(self):
         with pytest.raises(ValueError):

@@ -8,7 +8,9 @@ and the noise operator with hand-computed conditional expectations.
 
 import math
 import random
+import re
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -461,3 +463,12 @@ def test_profile_probability_consistency(n, data):
     assert rectangle_prob_fraction(profile, rho) == rectangle_prob_direct_fraction(
         sa, sb, rho
     )
+
+
+def test_declared_numpy_floor_has_bitwise_count():
+    # np.bitwise_count, used by the profile and noise code, is NumPy 2.0+.
+    # A regex, since tomllib is missing on Python 3.10.
+    text = (Path(__file__).resolve().parents[1] / "pyproject.toml").read_text()
+    match = re.search(r'"numpy>=(\d+)', text)
+    assert match is not None
+    assert int(match.group(1)) >= 2

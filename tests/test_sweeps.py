@@ -1,11 +1,13 @@
 """Tests for grid sweeps, the surface table, and convergence studies."""
 
 import math
-import os
+import threading
 from unittest import mock
 
+import numpy as np
 import pytest
 
+import hyperrect.entropy as entropy_module
 from hyperrect import (
     NEG_INF,
     AxisSpec,
@@ -18,8 +20,8 @@ from hyperrect import (
     run_sweep,
     sphere_exponent,
     thm1_expansion,
-    worker_count,
 )
+from hyperrect.sweeps import _format_cell
 
 
 class TestAxisSpec:
@@ -161,16 +163,7 @@ class TestRunSweep:
         table = run_sweep(spec)
         assert out.read_text() == table.to_csv_text()
 
-    def test_thread_env_override(self):
-        with mock.patch.dict(os.environ, {"HYPERRECT_THREADS": "3"}):
-            assert worker_count() == 3
-
-    def test_thread_env_invalid(self):
-        with mock.patch.dict(os.environ, {"HYPERRECT_THREADS": "zero"}):
-            with pytest.raises(ValueError):
-                worker_count()
-
-    def test_parallel_matches_serial(self):
+    def test_starts_no_thread(self):
         spec = SweepSpec(
             "w_d",
             axes=(
@@ -179,11 +172,11 @@ class TestRunSweep:
             ),
             params={"beta": 0.5},
         )
-        with mock.patch.dict(os.environ, {"HYPERRECT_THREADS": "1"}):
-            serial = run_sweep(spec).to_csv_text()
-        with mock.patch.dict(os.environ, {"HYPERRECT_THREADS": "4"}):
-            parallel = run_sweep(spec).to_csv_text()
-        assert serial == parallel
+        with mock.patch.object(
+            threading.Thread, "start", side_effect=AssertionError("thread started")
+        ):
+            table = run_sweep(spec)
+        assert len(table.rows) == 24
 
 
 class TestResultTable:
@@ -203,6 +196,24 @@ class TestResultTable:
         assert lines[1].endswith("-inf")
         assert lines[2].endswith("inf")
         assert lines[3].endswith("nan")
+
+    @pytest.mark.parametrize(
+        "cell, text",
+        [
+            (math.inf, "inf"),
+            (NEG_INF, "-inf"),
+            (math.nan, "nan"),
+            (True, "True"),
+            (7, "7"),
+            (-3, "-3"),
+            ("same", "same"),
+            (0.1, "0.1"),
+            (np.float64(0.25), "0.25"),
+            (np.int64(3), "3.0"),
+        ],
+    )
+    def test_cell_rendering(self, cell, text):
+        assert _format_cell(cell) == text
 
     def test_floats_round_trip(self):
         value = 0.1234567890123456789
@@ -255,6 +266,23 @@ class TestFigurePhiSurface:
     def test_row_count(self):
         table = figure_phi_surface(7)
         assert len(table.rows) == 49
+
+    @pytest.mark.parametrize("count", [2, 7, 41])
+    def test_csv_equals_generic_phi_sweep(self, count):
+        spec = SweepSpec(
+            "phi",
+            axes=(
+                AxisSpec("x", 0.0, 1.0, count),
+                AxisSpec("y", 0.0, 1.0, count),
+            ),
+        )
+        assert figure_phi_surface(count).to_csv_text() == run_sweep(spec).to_csv_text()
+
+    def test_inverts_once_per_axis_point(self):
+        inverse = entropy_module.binary_entropy_inv
+        with mock.patch.object(entropy_module, "binary_entropy_inv", wraps=inverse) as spy:
+            figure_phi_surface(13)
+        assert spy.call_count == 13
 
     def test_grid_count_minimum(self):
         with pytest.raises(ValueError):
