@@ -12,18 +12,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
-import numpy as np
-
-from .entropy import binary_entropy, phi
+from .entropy import _INV_TOL, binary_entropy, phi
 from .exponents import (
     ExponentBound,
     KIND_DIRECTION,
     _avgdist_from_phi,
     morss_lower_exponent,
 )
-from .optimize import golden_section_maximize
 
 __all__ = [
     "RatePair",
@@ -33,7 +29,6 @@ __all__ = [
     "feasibility_scan",
 ]
 
-_DEFAULT_GRID_POINTS = 10_000
 _DEFAULT_MARGIN = 1e-9
 
 
@@ -68,61 +63,70 @@ def van_tilborg_wd_cap(d: float, pair: RatePair) -> float:
     return min(pair.total, binary_entropy(d) + min(d, 1.0 - d))
 
 
-# Keyed on the grid size, which callers almost never vary.
-@lru_cache(maxsize=8)
-def _entropy_grid(grid_points: int) -> tuple[np.ndarray, np.ndarray]:
-    d = np.linspace(0.0, 1.0, grid_points)
-    inner = d[1:-1]
-    h = np.zeros_like(d)
-    h[1:-1] = -(inner * np.log2(inner) + (1.0 - inner) * np.log2(1.0 - inner))
-    return d, h + np.minimum(d, 1.0 - d)
+def _cap_crossing(total: float) -> float:
+    """The d in [0, 1/2] where h(d) + d reaches the counting cap R1 + R2,
+    or 1/2 once R1 + R2 >= 3/2, where it never does.
+
+    Newton steps inside a shrinking bracket to the tolerance of
+    `binary_entropy_inv`, with its midpoint fallback.  h(d) + d is concave
+    and above its chord 3d, so the start total/3 is on or above the root;
+    one Newton step lands below it, and from there the iterates climb.
+    """
+    if total >= 1.5:
+        return 0.5
+    if total <= 0.0:
+        return 0.0
+    lo, hi = 0.0, 0.5
+    d = total / 3.0 or math.ulp(0.0)
+    while hi - lo > _INV_TOL:
+        miss = binary_entropy(d) + d - total
+        if miss < 0.0:
+            lo = d
+        elif miss > 0.0:
+            hi = d
+        else:
+            return d
+        step = miss / (math.log2((1.0 - d) / d) + 1.0)
+        if abs(step) <= _INV_TOL:
+            return min(max(d - step, lo), hi)
+        d -= step
+        if not lo < d < hi:
+            d = 0.5 * (lo + hi)
+    return 0.5 * (lo + hi)
 
 
-# A feasibility scan looks up each (R1 + R2, rho) several times; a
-# 30-rate by 79-rho scan needs about 1.3k entries.  The bound stops float
-# keys that never repeat across scans from growing the cache without limit.
-_TOTAL_CACHE_SIZE = 1 << 12
-
-
-@lru_cache(maxsize=_TOTAL_CACHE_SIZE)
-def _zero_error_from_total(
-    total: float, rho: float, grid_points: int
-) -> tuple[float, float]:
-    distance_log = math.log2((1.0 - rho) / (1.0 + rho)) if rho > 0.0 else 0.0
-    d, pair_term = _entropy_grid(grid_points)
-    values = np.minimum(total, pair_term) + d * distance_log
-    k = int(np.argmax(values))
-    pair = RatePair(min(total, 1.0), total - min(total, 1.0))
-
-    def objective(x: float) -> float:
-        return van_tilborg_wd_cap(x, pair) + x * distance_log
-
-    d_opt, peak = golden_section_maximize(
-        objective, d[max(k - 1, 0)], d[min(k + 1, grid_points - 1)]
-    )
-    if values[k] > peak:
-        d_opt, peak = float(d[k]), float(values[k])
+def _zero_error_from_crossing(crossing: float, rho: float) -> tuple[float, float]:
+    """(exponent, d_opt) given the cap crossing of R1 + R2; see
+    `zero_error_upper_exponent` for the derivation."""
+    distance_log = math.log2((1.0 - rho) / (1.0 + rho))
+    d_opt = min(2.0 * (1.0 - rho) / (3.0 - rho), crossing)
+    peak = binary_entropy(d_opt) + d_opt * (1.0 + distance_log)
     return 2.0 - math.log2(1.0 + rho) - peak, d_opt
 
 
-def zero_error_upper_exponent(
-    pair: RatePair, rho: float, grid_points: int = _DEFAULT_GRID_POINTS
-) -> ExponentBound:
+def zero_error_upper_exponent(pair: RatePair, rho: float) -> ExponentBound:
     """Upper direction for every zero-error code of the given rates:
 
-        E = min_d [2 - log2(1+rho) - cap(d) - d log2((1-rho)/(1+rho))]
+        E = 2 - log2(1+rho) - max_d [cap(d) + d L],  L = log2((1-rho)/(1+rho)),
 
-    so P <= 2^(-n(E + o(1))) whenever (A, B) is zero-error.  The cap only
-    depends on R1 + R2.  The objective is concave with kinks (at d = 1/2
-    and at the counting-cap crossover), handled by a dense grid plus
-    golden-section refinement in the best bracket.  ``d_opt`` is the
+    so P <= 2^(-n(E + o(1))) whenever (A, B) is zero-error.  The maximum
+    is in closed form.  On [1/2, 1] both cap(d) and d L are
+    nonincreasing (L <= 0), so the peak lies in [0, 1/2], where
+    cap(d) = min(R1 + R2, h(d) + d).  Setting the derivative of
+    h(d) + d + d L to zero gives (1 - d)/d = 2^(-1-L) = (1+rho)/(2(1-rho)),
+    the free stationary point d* = 2(1-rho)/(3-rho); that function is
+    concave, and past the crossing d_c where h(d_c) + d_c = R1 + R2 the
+    objective R1 + R2 + d L only falls.  Hence
+
+        d_opt = min(d*, 1/2, d_c),  E = 2 - log2(1+rho) - (h(d_opt) + d_opt (1 + L)).
+
+    d_c depends only on R1 + R2 and is 1/2 once R1 + R2 >= 3/2; it is the
+    one iterative step (a bracketed Newton solve).  ``d_opt`` is the
     distance attaining the inner optimum.
     """
     if not 0.0 <= rho < 1.0:
         raise ValueError(f"correlation must lie in [0, 1), got {rho!r}")
-    if grid_points < 3:
-        raise ValueError(f"grid must have at least 3 points, got {grid_points!r}")
-    value, d_opt = _zero_error_from_total(pair.total, rho, grid_points)
+    value, d_opt = _zero_error_from_crossing(_cap_crossing(pair.total), rho)
     return ExponentBound(
         value, "zero_error_upper", KIND_DIRECTION["zero_error_upper"], d_opt=d_opt
     )
@@ -163,7 +167,6 @@ def feasibility_scan(
     rho_grid,
     r2_grid=None,
     margin: float = _DEFAULT_MARGIN,
-    grid_points: int = _DEFAULT_GRID_POINTS,
 ) -> FeasibilityFrontier:
     """Exclusion frontier: for each R1, the largest grid R2 not excluded.
 
@@ -185,10 +188,12 @@ def feasibility_scan(
     r2_descending = sorted(r2_values, reverse=True)
 
     def excluded(r1: float, r2: float) -> bool:
-        # phi does not depend on rho; the grids are already checked.
+        # phi and the cap crossing do not depend on rho; the grids are
+        # already checked.
         low = phi(r1, r2)
+        crossing = _cap_crossing(r1 + r2)
         for rho in rho_values:
-            upper, _ = _zero_error_from_total(r1 + r2, rho, grid_points)
+            upper, _ = _zero_error_from_crossing(crossing, rho)
             lower = min(
                 morss_lower_exponent(r1, r2, rho).value,
                 _avgdist_from_phi(r1, r2, rho, low).value,

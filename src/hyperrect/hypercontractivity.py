@@ -57,6 +57,12 @@ _RESIDUAL_LIMIT = 1e-9
 _STEP_TOL = 1e-11
 _MAX_STEPS = 1 << 20
 
+# Longest t the step-halving solve_u accepts.  Once u(t) >= a + 2t nears
+# 90, summed roundoff keeps successive passes from agreeing to _STEP_TOL:
+# drives with a in [-2, 2] converged at t = 30, but a = -1 halved to
+# _MAX_STEPS and failed at t = 40, and a = 0 at t = 50.
+_MAX_SOLVE_T = 30.0
+
 
 class DomainViolationError(ValueError):
     """C's argument fell outside [0, ln 2]; ``t`` locates the violation
@@ -145,7 +151,9 @@ def solve_u(
     Fixed-step 4th-order integration with step halving until successive
     results differ by less than ``tol``; passing ``steps`` runs a single
     fixed-step pass instead (an order-of-convergence diagnostic).
-    Nondecreasing in t since C >= 2 > 0; t = 0 returns a exactly.
+    Nondecreasing in t since C >= 2 > 0; t = 0 returns a exactly.  The
+    step-halving path raises ValueError for t > 30 (_MAX_SOLVE_T), where the
+    default tolerance is out of reach.
     """
     if not 0.0 <= t < math.inf:
         raise ValueError(f"time must be finite and nonnegative, got {t!r}")
@@ -158,6 +166,8 @@ def solve_u(
         if steps < 1:
             raise ValueError(f"steps must be >= 1, got {steps!r}")
         return a if t == 0.0 else _rk4(a, b, t, steps)
+    if t > _MAX_SOLVE_T:
+        raise ValueError(f"time {t!r} exceeds {_MAX_SOLVE_T}, past which {tol} is unreachable")
     return _solve_u(a, b, t, tol)[0]
 
 

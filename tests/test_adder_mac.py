@@ -5,9 +5,12 @@ scanner is checked for its structural guarantees (monotone frontier,
 grid-refinement stability) on grids small enough to run in seconds.
 """
 
+import json
 import math
+import random
 from unittest import mock
 
+import mpmath
 import pytest
 
 import hyperrect.adder_mac as adder_mac_module
@@ -21,6 +24,44 @@ from hyperrect import (
     van_tilborg_wd_cap,
     zero_error_upper_exponent,
 )
+from hyperrect.cli import main
+
+
+def mp_zero_error_exponent(total, rho):
+    """Independent E at 50 digits: the cap crossing h(d) + d = R1 + R2 by
+    mpmath's findroot, then the closed-form optimum min(d*, 1/2, d_c)."""
+    with mpmath.workdps(50):
+        total, rho = mpmath.mpf(total), mpmath.mpf(rho)
+
+        def h(d):
+            return -(d * mpmath.log(d, 2) + (1 - d) * mpmath.log(1 - d, 2))
+
+        if total >= 1.5:
+            crossing = mpmath.mpf(0.5)
+        else:
+            crossing = mpmath.findroot(
+                lambda d: h(d) + d - total, (mpmath.mpf(1e-30), mpmath.mpf(0.5)),
+                solver="anderson",
+            )
+        ell = mpmath.log((1 - rho) / (1 + rho), 2)
+        d_opt = min(2 * (1 - rho) / (3 - rho), crossing)
+        peak = h(d_opt) + d_opt * (1 + ell)
+        return float(2 - mpmath.log(1 + rho, 2) - peak)
+
+
+def seeded_total_rho(count, seed):
+    """(R1 + R2, rho) draws, with the edges the closed form branches on:
+    totals past 3/2, rho = 0 and rho near 1."""
+    rng = random.Random(seed)
+    points = [(rng.uniform(0.0, 2.0), rng.uniform(0.0, 0.999)) for _ in range(count)]
+    points += [(rng.uniform(1.5, 2.0), rng.uniform(0.0, 0.999)) for _ in range(10)]
+    points += [(rng.uniform(0.01, 2.0), 0.0) for _ in range(10)]
+    points += [(rng.uniform(0.01, 2.0), 1.0 - 10.0 ** -rng.uniform(3, 9)) for _ in range(10)]
+    return points + [(1.5, 0.3), (1.9, 0.0), (2.0, 0.5), (0.05, 0.99)]
+
+
+def pair_with_total(total):
+    return RatePair(min(total, 1.0), total - min(total, 1.0))
 
 
 class TestRatePair:
@@ -121,6 +162,31 @@ class TestZeroErrorExponent:
         with pytest.raises(ValueError):
             zero_error_upper_exponent(RatePair(0.5, 0.5), 1.0)
 
+    def test_matches_mpmath(self):
+        for total, rho in seeded_total_rho(60, seed=11):
+            b = zero_error_upper_exponent(pair_with_total(total), rho)
+            assert b.value == pytest.approx(
+                mp_zero_error_exponent(total, rho), abs=1e-12
+            ), (total, rho)
+
+    def test_no_grid_point_beats_the_optimum(self):
+        # E is the minimum over d, so no point of a dense d grid may give
+        # a smaller value (slack: a few ulps of the objective's roundoff).
+        grid = [i / 10000 for i in range(10001)]
+        for total, rho in seeded_total_rho(10, seed=12):
+            pair = pair_with_total(total)
+            ell = math.log2((1 - rho) / (1 + rho))
+            value = zero_error_upper_exponent(pair, rho).value
+            best = max(van_tilborg_wd_cap(d, pair) + d * ell for d in grid)
+            assert value <= 2 - math.log2(1 + rho) - best + 2e-15, (total, rho)
+
+    def test_plain_float_results_with_d_opt_at_most_half(self):
+        for total, rho in seeded_total_rho(20, seed=13):
+            b = zero_error_upper_exponent(pair_with_total(total), rho)
+            assert type(b.value) is float and type(b.d_opt) is float
+            assert 0.0 <= b.d_opt <= 0.5
+        assert zero_error_upper_exponent(RatePair(1.0, 0.9), 0.0).d_opt == 0.5
+
 
 class TestFeasibilityScan:
     def make_scan(self, m=9, rho_points=60):
@@ -175,8 +241,12 @@ class TestFeasibilityScan:
             feasibility_scan([0.3], [i / 11 for i in range(1, 11)], r2_grid=[0.2])
         assert spy.call_count == 2
 
-    def test_entropy_grid_cache_bounded(self):
-        assert adder_mac_module._entropy_grid.cache_info().maxsize is not None
+    def test_cap_crossing_solved_once_per_rate_pair(self):
+        # The crossing depends on R1 + R2 only: one pair, ten rhos, one solve.
+        crossing = adder_mac_module._cap_crossing
+        with mock.patch.object(adder_mac_module, "_cap_crossing", wraps=crossing) as spy:
+            feasibility_scan([0.3], [i / 11 for i in range(1, 11)], r2_grid=[0.2])
+        assert spy.call_count == 1
 
     def test_grid_refinement_stability(self):
         # Doubling the r2 grid density moves the frontier at most one
@@ -210,3 +280,35 @@ class TestFeasibilityScan:
         frontier = self.make_scan(m=3, rho_points=10)
         assert isinstance(frontier, FeasibilityFrontier)
         assert len(frontier.r2_max) == len(frontier.r1_values) == 3
+
+
+class TestFrontierPinned:
+    """Frontiers recorded from the grid-and-golden-section optimiser that
+    the closed form replaced, as the index of each R1's largest
+    non-excluded R2 in the R2 grid (None when every candidate is out)."""
+
+    README = [29] * 11 + [28, 28] + list(range(27, 11, -1)) + [10]
+    CRITERION_11_COARSE = [38] * 16 + list(range(37, 19, -1)) + [18]
+    CRITERION_11_FINE = [77] * 15 + list(range(76, 39, -2)) + [37]
+
+    def test_readme_command(self, capsys):
+        code = main(
+            ["scan", "--r1", "0.2:0.999:30", "--rho", "0.0125:0.9875:79", "--json"]
+        )
+        out = json.loads(capsys.readouterr().out)
+        assert code == 0
+        assert out["r2_max"] == [out["r1"][i] for i in self.README]
+
+    @pytest.mark.parametrize(
+        "r2_grid, expected",
+        [
+            ([i / 40.0 for i in range(1, 40)], CRITERION_11_COARSE),
+            ([i / 80.0 for i in range(2, 80)], CRITERION_11_FINE),
+        ],
+        ids=["coarse", "fine"],
+    )
+    def test_criterion_11_grids(self, r2_grid, expected):
+        r1_grid = [i / 40.0 for i in range(6, 40)] + [0.999]
+        rho_grid = [i / 80.0 for i in range(1, 80)]
+        frontier = feasibility_scan(r1_grid, rho_grid, r2_grid=r2_grid)
+        assert list(frontier.r2_max) == [r2_grid[i] for i in expected]

@@ -187,6 +187,23 @@ class TestSolveU:
             solve_u(0.0, 0.1, 0.1)
         assert len(passes) == 1
 
+    @pytest.mark.parametrize("t", [100.0, 1e4])
+    def test_unreachable_tolerance_rejected_fast(self, t):
+        # Step halving used to run for about 38 s here before failing.
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match="exceeds"):
+            solve_u(0.0, 0.3, t)
+        assert time.perf_counter() - start < 1.0
+
+    @pytest.mark.parametrize(
+        "a, b, t, expected",
+        [(0.0, 0.3, 0.5, 1.13550987139921), (0.0, 0.3, 2.0, 4.35778166860962),
+         (0.0, 0.3, 10.0, 21.403414916465955), (-2.0, 0.05, 10.0, 18.248389157094394)],
+    )
+    def test_bits_unchanged_below_the_limit(self, a, b, t, expected):
+        # Recorded before the horizon limit was added.
+        assert solve_u(a, b, t) == expected
+
     def test_fixed_step_override_matches_adaptive(self):
         a = -0.3
         b = 0.4 * LN2 / (1 + math.exp(-a))
