@@ -3,7 +3,8 @@
 Builds a few explicit set pairs, computes P[X in A, Y in B] as an exact
 rational through the distance profile, and cross-checks the same value
 against a direct double loop over ordered pairs.  The two code paths
-share no arithmetic, so agreement is a real check.
+share only the kernel's two constants, not the counting, so agreement is
+a real check.
 """
 
 from fractions import Fraction
@@ -11,7 +12,7 @@ from fractions import Fraction
 from hyperrect import (
     CubeSet,
     pair_distance_profile,
-    rectangle_prob_direct_fraction,
+    rectangle_prob_direct,
     rectangle_prob_fraction,
     sphere_distance_profile,
 )
@@ -20,7 +21,7 @@ from hyperrect import (
 def show(label: str, a: CubeSet, b: CubeSet, rho) -> None:
     profile = pair_distance_profile(a, b)
     via_profile = rectangle_prob_fraction(profile, rho)
-    direct = rectangle_prob_direct_fraction(a, b, rho)
+    direct = rectangle_prob_direct(a, b, rho)
     match = "agree" if via_profile == direct else "DISAGREE"
     print(f"{label}: P = {via_profile} ({match})")
     print(f"  distance counts: {profile.counts}")

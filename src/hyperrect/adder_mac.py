@@ -13,13 +13,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .entropy import _INV_TOL, binary_entropy, phi
-from .exponents import (
-    ExponentBound,
-    KIND_DIRECTION,
-    _avgdist_from_phi,
-    morss_lower_exponent,
-)
+from .entropy import _INV_TOL, _check_range, binary_entropy, phi
+from .exponents import ExponentBound, _avgdist_from_phi, morss_lower_exponent
 
 __all__ = [
     "RatePair",
@@ -40,9 +35,8 @@ class RatePair:
     r2: float
 
     def __post_init__(self) -> None:
-        for name, value in (("r1", self.r1), ("r2", self.r2)):
-            if not 0.0 <= value <= 1.0:
-                raise ValueError(f"{name} must lie in [0, 1], got {value!r}")
+        _check_range("r1", self.r1, 0.0, 1.0)
+        _check_range("r2", self.r2, 0.0, 1.0)
 
     @property
     def total(self) -> float:
@@ -58,8 +52,7 @@ def van_tilborg_wd_cap(d: float, pair: RatePair) -> float:
     normalized distance d; the first is the trivial counting cap.  A min
     of concave functions, hence concave in d.
     """
-    if not 0.0 <= d <= 1.0:
-        raise ValueError(f"normalized distance must lie in [0, 1], got {d!r}")
+    _check_range("normalized distance", d, 0.0, 1.0)
     return min(pair.total, binary_entropy(d) + min(d, 1.0 - d))
 
 
@@ -124,12 +117,9 @@ def zero_error_upper_exponent(pair: RatePair, rho: float) -> ExponentBound:
     one iterative step (a bracketed Newton solve).  ``d_opt`` is the
     distance attaining the inner optimum.
     """
-    if not 0.0 <= rho < 1.0:
-        raise ValueError(f"correlation must lie in [0, 1), got {rho!r}")
+    _check_range("correlation", rho, 0.0, 1.0, hi_open=True)
     value, d_opt = _zero_error_from_crossing(_cap_crossing(pair.total), rho)
-    return ExponentBound(
-        value, "zero_error_upper", KIND_DIRECTION["zero_error_upper"], d_opt=d_opt
-    )
+    return ExponentBound(value, "zero_error_upper", d_opt=d_opt)
 
 
 @dataclass(frozen=True)
@@ -153,15 +143,6 @@ class FeasibilityFrontier:
         return True
 
 
-def _check_open_unit_grid(grid, name: str) -> tuple[float, ...]:
-    values = tuple(float(v) for v in grid)
-    if not values:
-        raise ValueError(f"{name} must be nonempty")
-    if any(not 0.0 < v < 1.0 for v in values):
-        raise ValueError(f"{name} values must lie in (0, 1)")
-    return values
-
-
 def feasibility_scan(
     r1_grid,
     rho_grid,
@@ -176,15 +157,19 @@ def feasibility_scan(
 
     i.e. every zero-error code of those rates would need to be less
     probable than any set pair of those sizes can be.  R2 candidates
-    default to the R1 grid.
+    default to the R1 grid.  Every grid must be nonempty inside (0, 1),
+    and the margin finite and nonnegative.
     """
-    r1_values = _check_open_unit_grid(r1_grid, "r1 grid")
-    rho_values = _check_open_unit_grid(rho_grid, "rho grid")
-    r2_values = (
-        r1_values
-        if r2_grid is None
-        else _check_open_unit_grid(r2_grid, "r2 grid")
-    )
+    r1_values = tuple(float(v) for v in r1_grid)
+    rho_values = tuple(float(v) for v in rho_grid)
+    r2_values = r1_values if r2_grid is None else tuple(float(v) for v in r2_grid)
+    for name, grid in (("r1", r1_values), ("rho", rho_values), ("r2", r2_values)):
+        if not grid:
+            raise ValueError(f"{name} grid must be nonempty")
+        label = f"{name} grid values"
+        for value in grid:
+            _check_range(label, value, 0.0, 1.0, lo_open=True, hi_open=True)
+    _check_range("margin", margin, 0.0, math.inf, hi_open=True)
     r2_descending = sorted(r2_values, reverse=True)
 
     def excluded(r1: float, r2: float) -> bool:

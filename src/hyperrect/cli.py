@@ -25,6 +25,7 @@ from .hypercontractivity import (
 from .oracle import (
     EnumerationBudgetError,
     SetFileError,
+    _log2_fraction,
     pair_distance_profile,
     read_set_file,
     rectangle_prob,
@@ -108,9 +109,8 @@ def _cmd_oracle(args) -> int:
     profile = pair_distance_profile(set_a, set_b)
     pairs = []
     if args.exact:
-        rho = Fraction(args.rho)
-        exact = rectangle_prob_fraction(profile, rho)
-        log2_p = rectangle_prob(profile, rho, exact=True)
+        exact = rectangle_prob_fraction(profile, Fraction(args.rho))
+        log2_p = _log2_fraction(exact)
         pairs.append(("p_exact", f"{exact.numerator}/{exact.denominator}"))
     else:
         log2_p = rectangle_prob(profile, float(Fraction(args.rho)))

@@ -47,6 +47,31 @@ _DEFICIT_FORM_BELOW = 1e-4
 _EXACT_COMB_LIMIT = 64
 
 
+def _check_range(
+    name: str,
+    value,
+    lo: float,
+    hi: float,
+    *,
+    lo_open: bool = False,
+    hi_open: bool = False,
+) -> None:
+    """Raise ValueError unless ``value`` lies between ``lo`` and ``hi``,
+    strictly at an open end.
+
+    The package's one domain check, for floats, ints and Fractions alike.
+    NaN fails every comparison, and an infinite end is always passed as
+    open, so NaN and +-inf are rejected too.  The hot scalars below keep
+    their own inline comparison.
+    """
+    if (lo < value if lo_open else lo <= value) and (
+        value < hi if hi_open else value <= hi
+    ):
+        return
+    interval = f"{'(' if lo_open else '['}{lo:g}, {hi:g}{')' if hi_open else ']'}"
+    raise ValueError(f"{name} must lie in {interval}, got {value!r}")
+
+
 def binary_entropy(p: float) -> float:
     """Binary entropy h(p) in bits, with h(0) = h(1) = 0."""
     if not 0.0 <= p <= 1.0:
@@ -157,13 +182,11 @@ def v_func(t: float) -> float:
     Increasing from 0 toward the removable limit 1/2 at t = 1/2; both
     endpoints are rejected rather than patched.
     """
-    if not 0.0 < t < 0.5:
-        raise ValueError(f"argument must lie strictly inside (0, 1/2), got {t!r}")
+    _check_range("argument", t, 0.0, 0.5, lo_open=True, hi_open=True)
     return (1.0 - 2.0 * t) / math.log((1.0 - t) / t)
 
 
 def g_func(y: float) -> float:
-    """(y^2 - 1)/y - 2 ln y for y >= 1; nonnegative, zero only at y = 1."""
-    if y < 1.0:
-        raise ValueError(f"argument must be >= 1, got {y!r}")
+    """(y^2 - 1)/y - 2 ln y for finite y >= 1; nonnegative, zero only at y = 1."""
+    _check_range("argument", y, 1.0, math.inf, hi_open=True)
     return (y * y - 1.0) / y - 2.0 * math.log(y)

@@ -18,11 +18,18 @@ P >= 2^(-n(E + o(1))), so no universal upper exponent can exceed it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import KW_ONLY, dataclass
 from types import MappingProxyType
 from typing import Mapping
 
-from .entropy import NEG_INF, LN2, binary_entropy, binary_entropy_inv, phi
+from .entropy import (
+    NEG_INF,
+    LN2,
+    _check_range,
+    binary_entropy,
+    binary_entropy_inv,
+    phi,
+)
 from .optimize import golden_section_maximize
 
 __all__ = [
@@ -67,57 +74,33 @@ THM2_RHO_MAX = 0.1
 class ExponentBound:
     """A named exponent (bits per symbol) and what it certifies.
 
-    ``direction`` is derived from ``kind``; ``valid`` marks whether the
+    ``direction`` is a property read off ``kind``; ``valid`` marks whether the
     inputs are inside the regime where the formula is quantitatively
     trustworthy.  ``d_opt`` is the optimizing normalized distance for the
-    kinds that solve an inner maximization.
+    kinds that solve an inner maximization.  Both are keyword-only.
     """
 
     value: float
     kind: str
-    direction: str
+    _: KW_ONLY
     valid: bool = True
     d_opt: float | None = None
 
     def __post_init__(self) -> None:
         if self.kind not in KIND_DIRECTION:
             raise ValueError(f"unknown bound kind {self.kind!r}")
-        if self.direction != KIND_DIRECTION[self.kind]:
-            raise ValueError(
-                f"kind {self.kind!r} certifies {KIND_DIRECTION[self.kind]!r}, "
-                f"got {self.direction!r}"
-            )
 
-
-def _bound(
-    value: float, kind: str, valid: bool = True, d_opt: float | None = None
-) -> ExponentBound:
-    return ExponentBound(value, kind, KIND_DIRECTION[kind], valid, d_opt)
-
-
-def _check_rate(value: float, name: str, allow_zero: bool = False) -> None:
-    lo_ok = value >= 0.0 if allow_zero else value > 0.0
-    if not (lo_ok and value <= 1.0):
-        interval = "[0, 1]" if allow_zero else "(0, 1]"
-        raise ValueError(f"{name} must lie in {interval}, got {value!r}")
-
-
-def _check_rho_strict(rho: float) -> None:
-    if not 0.0 <= rho < 1.0:
-        raise ValueError(f"correlation must lie in [0, 1), got {rho!r}")
-
-
-def _check_rho_closed(rho: float) -> None:
-    if not 0.0 <= rho <= 1.0:
-        raise ValueError(f"correlation must lie in [0, 1], got {rho!r}")
+    @property
+    def direction(self) -> str:
+        return KIND_DIRECTION[self.kind]
 
 
 def _sphere_radii(alpha: float, beta: float) -> tuple[float, float, float]:
     """(smaller rate, its radius r_a, the other radius r_b), r = h_inv(rate)."""
     if alpha > beta:
         alpha, beta = beta, alpha
-    _check_rate(alpha, "alpha")
-    _check_rate(beta, "beta")
+    _check_range("alpha", alpha, 0.0, 1.0, lo_open=True)
+    _check_range("beta", beta, 0.0, 1.0, lo_open=True)
     return alpha, binary_entropy_inv(alpha), binary_entropy_inv(beta)
 
 
@@ -145,8 +128,7 @@ def w_d(alpha: float, beta: float, d: float) -> float:
     maximized with value alpha + beta at d = phi(alpha, beta).
     """
     alpha, r_a, r_b = _sphere_radii(alpha, beta)
-    if not 0.0 <= d <= 1.0:
-        raise ValueError(f"normalized distance must lie in [0, 1], got {d!r}")
+    _check_range("normalized distance", d, 0.0, 1.0)
     return _w_d_from_radii(alpha, r_a, r_b, d)
 
 
@@ -182,7 +164,7 @@ def sphere_exponent(
     argmax; for opposite centers it is the distance between the
     un-reflected spheres (realized pair distances concentrate at 1 - d_opt).
     """
-    _check_rho_strict(rho)
+    _check_range("correlation", rho, 0.0, 1.0, hi_open=True)
     if centers not in ("same", "opposite"):
         raise ValueError(f"centers must be 'same' or 'opposite', got {centers!r}")
     small_rate, r_a, r_b = _sphere_radii(alpha, beta)
@@ -198,21 +180,21 @@ def sphere_exponent(
         return _w_d_from_radii(small_rate, r_a, r_b, d) + sign * d * distance_log
 
     d_opt, peak = golden_section_maximize(objective, r_b - r_a, r_b + r_a)
-    return _bound(prefactor - peak, kind, d_opt=d_opt)
+    return ExponentBound(prefactor - peak, kind, d_opt=d_opt)
 
 
 def hct_upper_exponent(alpha: float, rho: float) -> ExponentBound:
     """Universal upper direction for equal rates: E = 2(1-alpha)/(1+rho)."""
-    _check_rate(alpha, "alpha")
-    _check_rho_closed(rho)
-    return _bound(2.0 * (1.0 - alpha) / (1.0 + rho), "hct_upper")
+    _check_range("alpha", alpha, 0.0, 1.0, lo_open=True)
+    _check_range("correlation", rho, 0.0, 1.0)
+    return ExponentBound(2.0 * (1.0 - alpha) / (1.0 + rho), "hct_upper")
 
 
 def rhct_lower_exponent(alpha: float, rho: float) -> ExponentBound:
     """Reverse counterpart for equal rates: E = 2(1-alpha)/(1-rho)."""
-    _check_rate(alpha, "alpha")
-    _check_rho_strict(rho)
-    return _bound(2.0 * (1.0 - alpha) / (1.0 - rho), "rhct_lower")
+    _check_range("alpha", alpha, 0.0, 1.0, lo_open=True)
+    _check_range("correlation", rho, 0.0, 1.0, hi_open=True)
+    return ExponentBound(2.0 * (1.0 - alpha) / (1.0 - rho), "rhct_lower")
 
 
 def morss_lower_exponent(alpha: float, beta: float, rho: float) -> ExponentBound:
@@ -222,11 +204,11 @@ def morss_lower_exponent(alpha: float, beta: float, rho: float) -> ExponentBound
 
     Collapses to the reverse bound 2(1-alpha)/(1-rho) when alpha = beta.
     """
-    _check_rate(alpha, "alpha")
-    _check_rate(beta, "beta")
-    _check_rho_strict(rho)
+    _check_range("alpha", alpha, 0.0, 1.0, lo_open=True)
+    _check_range("beta", beta, 0.0, 1.0, lo_open=True)
+    _check_range("correlation", rho, 0.0, 1.0, hi_open=True)
     ca, cb = 1.0 - alpha, 1.0 - beta
-    return _bound(
+    return ExponentBound(
         (ca + cb + 2.0 * rho * math.sqrt(ca * cb)) / (1.0 - rho * rho),
         "morss_lower",
     )
@@ -241,9 +223,9 @@ def avgdist_lower_exponent(alpha: float, beta: float, rho: float) -> ExponentBou
     normalized distance between sets of rates alpha, beta is at least
     phi(alpha, beta).
     """
-    _check_rate(alpha, "alpha")
-    _check_rate(beta, "beta")
-    _check_rho_strict(rho)
+    _check_range("alpha", alpha, 0.0, 1.0, lo_open=True)
+    _check_range("beta", beta, 0.0, 1.0, lo_open=True)
+    _check_range("correlation", rho, 0.0, 1.0, hi_open=True)
     return _avgdist_from_phi(alpha, beta, rho, phi(alpha, beta))
 
 
@@ -254,7 +236,7 @@ def _avgdist_from_phi(
     that have checked the arguments and reuse phi across many rho."""
     distance_log = math.log2((1.0 - rho) / (1.0 + rho)) if rho > 0.0 else 0.0
     tail = -math.log2(1.0 - rho) + low * distance_log
-    return _bound((1.0 - alpha) + (1.0 - beta) + tail, "avgdist_lower")
+    return ExponentBound((1.0 - alpha) + (1.0 - beta) + tail, "avgdist_lower")
 
 
 def thm1_expansion(alpha: float, rho: float) -> ExponentBound:
@@ -265,11 +247,11 @@ def thm1_expansion(alpha: float, rho: float) -> ExponentBound:
     The linear term is exact as rho -> 1; ``valid`` is False below
     rho = 0.9 where the dropped O((1-rho)^2 log(1/(1-rho))) terms matter.
     """
-    _check_rate(alpha, "alpha")
-    _check_rho_closed(rho)
+    _check_range("alpha", alpha, 0.0, 1.0, lo_open=True)
+    _check_range("correlation", rho, 0.0, 1.0)
     r = binary_entropy_inv(alpha)
     slope = (0.5 - math.sqrt(r * (1.0 - r))) / LN2
-    return _bound(
+    return ExponentBound(
         (1.0 - alpha) + slope * (1.0 - rho),
         "thm1_expansion",
         valid=rho >= THM1_RHO_MIN,
@@ -284,11 +266,11 @@ def thm2_expansion(alpha: float, beta: float, rho: float) -> ExponentBound:
     ``valid`` is False above rho = 0.1 where the dropped O(rho^2) term
     matters.
     """
-    _check_rate(alpha, "alpha")
-    _check_rate(beta, "beta")
-    _check_rho_closed(rho)
+    _check_range("alpha", alpha, 0.0, 1.0, lo_open=True)
+    _check_range("beta", beta, 0.0, 1.0, lo_open=True)
+    _check_range("correlation", rho, 0.0, 1.0)
     slope = (1.0 - 2.0 * phi(alpha, beta)) / LN2
-    return _bound(
+    return ExponentBound(
         (1.0 - alpha) + (1.0 - beta) + rho * slope,
         "thm2_expansion",
         valid=rho <= THM2_RHO_MAX,
@@ -301,8 +283,8 @@ def avg_distance_bounds(alpha: float, beta: float) -> tuple[float, float]:
     Returns (phi(alpha, beta), 1 - phi(alpha, beta)): the mean distance of
     any pair of sets of rates alpha, beta lies in this interval.
     """
-    _check_rate(alpha, "alpha")
-    _check_rate(beta, "beta")
+    _check_range("alpha", alpha, 0.0, 1.0, lo_open=True)
+    _check_range("beta", beta, 0.0, 1.0, lo_open=True)
     low = phi(alpha, beta)
     return low, 1.0 - low
 
@@ -322,8 +304,7 @@ def remark3_threshold(rho: float) -> float:
     guaranteed strictly smaller; the actual crossing point sits somewhat
     above alpha*, so either bound may win in between.
     """
-    if not 0.0 < rho < 1.0:
-        raise ValueError(f"correlation must lie in (0, 1), got {rho!r}")
+    _check_range("correlation", rho, 0.0, 1.0, lo_open=True, hi_open=True)
     return 1.0 - (1.0 - rho) / (2.0 * rho) * math.log2(1.0 / (1.0 - rho))
 
 
@@ -353,7 +334,7 @@ class BoundComparison:
 
 def compare_bounds(alpha: float, beta: float, rho: float) -> BoundComparison:
     """Evaluate the lower-direction family at one point and rank it."""
-    _check_rho_strict(rho)
+    _check_range("correlation", rho, 0.0, 1.0, hi_open=True)
     bounds: dict[str, ExponentBound] = {
         "morss_lower": morss_lower_exponent(alpha, beta, rho),
         "avgdist_lower": avgdist_lower_exponent(alpha, beta, rho),

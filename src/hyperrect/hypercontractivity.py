@@ -25,8 +25,9 @@ import math
 from dataclasses import dataclass
 from typing import Callable
 
-from .entropy import LN2, binary_entropy_inv
-from .exponents import ExponentBound, KIND_DIRECTION
+from .entropy import LN2, _check_range, binary_entropy_inv
+from .exponents import ExponentBound
+from .oracle import CubeFunction, noise_operator, p_norm
 
 __all__ = [
     "C_DOMAIN_TOL",
@@ -155,10 +156,9 @@ def solve_u(
     step-halving path raises ValueError for t > 30 (_MAX_SOLVE_T), where the
     default tolerance is out of reach.
     """
-    if not 0.0 <= t < math.inf:
-        raise ValueError(f"time must be finite and nonnegative, got {t!r}")
-    if not (math.isfinite(a) and math.isfinite(b)):
-        raise ValueError(f"a and b must be finite, got a={a!r}, b={b!r}")
+    _check_range("time", t, 0.0, math.inf, hi_open=True)
+    _check_range("a", a, -math.inf, math.inf, lo_open=True, hi_open=True)
+    _check_range("b", b, -math.inf, math.inf, lo_open=True, hi_open=True)
     initial = b * (1.0 + math.exp(-a))
     if not -C_DOMAIN_TOL <= initial <= LN2 + C_DOMAIN_TOL:
         raise DomainViolationError(initial, 0.0)
@@ -274,12 +274,9 @@ def solve_q(alpha: float, q0: float, t: float) -> HcSolution:
     singleton should pass any positive rate covering it (1/n does).
     NaN and infinite arguments are rejected with ValueError.
     """
-    if not 0.0 < alpha < 1.0:
-        raise ValueError(f"rate must lie in (0, 1), got {alpha!r}")
-    if not 1.0 < q0 < math.inf:
-        raise ValueError(f"norm index must be finite and exceed 1, got {q0!r}")
-    if not 0.0 <= t < math.inf:
-        raise ValueError(f"time must be finite and nonnegative, got {t!r}")
+    _check_range("rate", alpha, 0.0, 1.0, lo_open=True, hi_open=True)
+    _check_range("norm index", q0, 1.0, math.inf, lo_open=True, hi_open=True)
+    _check_range("time", t, 0.0, math.inf, hi_open=True)
     target = math.log(q0 - 1.0)
     drive_level = (1.0 - alpha) * LN2
     # C >= 2 gives u(t) >= a + 2t, so past this t every scan point from
@@ -359,12 +356,9 @@ def psi_bound(alpha: float, rho: float, split: float = 0.5) -> ExponentBound:
     the symmetric split.  rho = 1 gives (1 - alpha) exactly.  Propagates
     :class:`ShootingRangeError` when rho is too far from 1.
     """
-    if not 0.0 < alpha < 1.0:
-        raise ValueError(f"rate must lie in (0, 1), got {alpha!r}")
-    if not 0.0 < rho <= 1.0:
-        raise ValueError(f"correlation must lie in (0, 1], got {rho!r}")
-    if not 0.0 < split < 1.0:
-        raise ValueError(f"split must lie in (0, 1), got {split!r}")
+    _check_range("rate", alpha, 0.0, 1.0, lo_open=True, hi_open=True)
+    _check_range("correlation", rho, 0.0, 1.0, lo_open=True)
+    _check_range("split", split, 0.0, 1.0, lo_open=True, hi_open=True)
     horizon = -math.log(rho)
     if split == 0.5:
         q = solve_q(alpha, 2.0, 0.5 * horizon).q
@@ -373,7 +367,7 @@ def psi_bound(alpha: float, rho: float, split: float = 0.5) -> ExponentBound:
         first = solve_q(alpha, 2.0, split * horizon).q
         second = solve_q(alpha, 2.0, (1.0 - split) * horizon).q
         value = (1.0 - alpha) / first + (1.0 - alpha) / second
-    return ExponentBound(value, "psi_upper", KIND_DIRECTION["psi_upper"])
+    return ExponentBound(value, "psi_upper")
 
 
 @dataclass(frozen=True)
@@ -401,8 +395,6 @@ def verify_hc_inequality(
     for a singleton since the solver needs a positive rate; an explicit
     ``alpha`` must still satisfy |A| <= 2^(n alpha).
     """
-    from .oracle import CubeFunction, noise_operator, p_norm
-
     n = a_set.n
     if n > 14:
         raise ValueError(f"direct verification capped at n=14, got {n}")

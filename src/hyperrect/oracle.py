@@ -24,7 +24,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .entropy import NEG_INF
+from .entropy import NEG_INF, _check_range
 
 __all__ = [
     "MAX_FUNCTION_DIM",
@@ -40,7 +40,6 @@ __all__ = [
     "rectangle_prob",
     "rectangle_prob_fraction",
     "rectangle_prob_direct",
-    "rectangle_prob_direct_fraction",
     "noise_operator",
     "p_norm",
     "inner_product",
@@ -67,11 +66,6 @@ def _check_dim(n: int) -> None:
         raise ValueError(f"dimension must be an int, got {n!r}")
     if not 1 <= n <= _MAX_SET_DIM:
         raise ValueError(f"dimension must lie in [1, {_MAX_SET_DIM}], got {n}")
-
-
-def _check_rho(rho: float) -> None:
-    if not 0.0 <= rho <= 1.0:
-        raise ValueError(f"correlation must lie in [0, 1], got {rho!r}")
 
 
 class SetFileError(ValueError):
@@ -258,21 +252,23 @@ def _log2_fraction(value: Fraction) -> float:
     return math.log2(value.numerator) - math.log2(value.denominator)
 
 
-def rectangle_prob(
-    profile: DistanceProfile, rho: float, exact: bool = False
-) -> float:
+def _kernel(rho, n: int):
+    """The correlated-pair kernel in rho's own arithmetic (exact for a
+    Fraction, float otherwise): (((1+rho)/4)^n, (1-rho)/(1+rho)), the
+    weight of a pair at distance 0 and the factor per unit of distance."""
+    _check_range("correlation", rho, 0, 1)
+    return ((1 + rho) / 4) ** n, (1 - rho) / (1 + rho)
+
+
+def rectangle_prob(profile: DistanceProfile, rho: float) -> float:
     """log2 P[X in A, Y in B] from a distance profile.
 
     X is uniform on {0,1}^n and Y is rho-correlated with X, so each ordered
     pair at distance k contributes 2^-n ((1+rho)/2)^n ((1-rho)/(1+rho))^k.
-    The float path accumulates in the log domain with log-sum-exp; `exact`
-    routes through `rectangle_prob_fraction`.
+    The sum is accumulated in the log domain with log-sum-exp, so any n
+    works; rho = 1 needs `rectangle_prob_fraction`.
     """
-    if exact:
-        return _log2_fraction(rectangle_prob_fraction(profile, rho))
-    _check_rho(rho)
-    if rho == 1.0:
-        raise ValueError("correlation 1 is exact-mode only (kernel degenerates)")
+    _check_range("correlation", rho, 0.0, 1.0, hi_open=True)
     n = profile.n
     base = n * (math.log2(1.0 + rho) - 2.0)
     ratio = math.log2((1.0 - rho) / (1.0 + rho)) if rho > 0.0 else 0.0
@@ -286,13 +282,6 @@ def rectangle_prob(
     return min(total, 0.0)
 
 
-def _as_fraction_rho(rho) -> Fraction:
-    value = Fraction(rho)
-    if not 0 <= value <= 1:
-        raise ValueError(f"correlation must lie in [0, 1], got {rho!r}")
-    return value
-
-
 def rectangle_prob_fraction(profile: DistanceProfile, rho) -> Fraction:
     """Exact rational P[X in A, Y in B]; rho must be Fraction-convertible.
 
@@ -301,9 +290,7 @@ def rectangle_prob_fraction(profile: DistanceProfile, rho) -> Fraction:
     """
     if profile.n > MAX_EXACT_DIM:
         raise ValueError(f"exact mode capped at n={MAX_EXACT_DIM}, got {profile.n}")
-    r = _as_fraction_rho(rho)
-    term = (1 + r) ** profile.n / Fraction(4) ** profile.n
-    ratio = (1 - r) / (1 + r)
+    term, ratio = _kernel(Fraction(rho), profile.n)
     total = Fraction(0)
     for count in profile.counts:
         if count:
@@ -313,61 +300,26 @@ def rectangle_prob_fraction(profile: DistanceProfile, rho) -> Fraction:
 
 
 def rectangle_prob_direct(
-    a: CubeSet,
-    b: CubeSet,
-    rho: float,
-    exact: bool = False,
-    budget: int = DEFAULT_PAIR_BUDGET,
-) -> float:
-    """log2 P[X in A, Y in B] by a direct double loop over pairs.
-
-    Independent of the profile route: per-pair kernel values are summed in
-    plain probability space.  Intended as a cross-check at small n.
-    """
-    if exact:
-        return _log2_fraction(rectangle_prob_direct_fraction(a, b, rho, budget))
-    if a.n != b.n:
-        raise ValueError(f"dimension mismatch: {a.n} vs {b.n}")
-    _check_rho(rho)
-    if rho == 1.0:
-        raise ValueError("correlation 1 is exact-mode only (kernel degenerates)")
-    if len(a) * len(b) > budget:
-        raise EnumerationBudgetError(
-            f"{len(a) * len(b)} ordered pairs exceed the budget of {budget}"
-        )
-    n = a.n
-    kernel0 = 2.0 ** (n * (math.log2(1.0 + rho) - 2.0))
-    ratio = (1.0 - rho) / (1.0 + rho)
-    powers = [kernel0]
-    for _ in range(n):
-        powers.append(powers[-1] * ratio)
-    total = 0.0
-    for x in a.members:
-        for y in b.members:
-            total += powers[(x ^ y).bit_count()]
-    return min(math.log2(total), 0.0)
-
-
-def rectangle_prob_direct_fraction(
     a: CubeSet, b: CubeSet, rho, budget: int = DEFAULT_PAIR_BUDGET
-) -> Fraction:
-    """Exact rational double-loop rectangle probability."""
+) -> float | Fraction:
+    """P[X in A, Y in B] by a direct double loop over pairs.
+
+    Independent of the profile route: the kernel value of every pair is
+    summed in plain probability space, in rho's arithmetic, so a Fraction
+    rho gives the exact Fraction and a float rho a float.  Intended as a
+    cross-check at small n.
+    """
     if a.n != b.n:
         raise ValueError(f"dimension mismatch: {a.n} vs {b.n}")
-    if a.n > MAX_EXACT_DIM:
-        raise ValueError(f"exact mode capped at n={MAX_EXACT_DIM}, got {a.n}")
     if len(a) * len(b) > budget:
         raise EnumerationBudgetError(
             f"{len(a) * len(b)} ordered pairs exceed the budget of {budget}"
         )
-    r = _as_fraction_rho(rho)
-    n = a.n
-    kernel0 = (1 + r) ** n / Fraction(4) ** n
-    ratio = (1 - r) / (1 + r)
-    powers = [kernel0]
-    for _ in range(n):
+    weight, ratio = _kernel(rho, a.n)
+    powers = [weight]
+    for _ in range(a.n):
         powers.append(powers[-1] * ratio)
-    total = Fraction(0)
+    total = 0
     for x in a.members:
         for y in b.members:
             total += powers[(x ^ y).bit_count()]
@@ -431,7 +383,7 @@ def noise_operator(f: CubeFunction, rho: float) -> CubeFunction:
     (T_rho f)(x) = E[f(Y) | X = x] for the rho-correlated pair.  Computed
     by a Walsh-Hadamard transform, levelwise damping, and a transform back.
     """
-    _check_rho(rho)
+    _check_range("correlation", rho, 0.0, 1.0)
     coeffs = _fwht(f.values)
     levels = np.bitwise_count(np.arange(coeffs.size, dtype=np.uint64))
     coeffs *= np.float64(rho) ** levels
@@ -439,9 +391,8 @@ def noise_operator(f: CubeFunction, rho: float) -> CubeFunction:
 
 
 def p_norm(f: CubeFunction, p: float) -> float:
-    """Norm (E|f|^p)^(1/p) under the uniform measure; requires p >= 1."""
-    if p < 1.0:
-        raise ValueError(f"norm index must be >= 1, got {p!r}")
+    """Norm (E|f|^p)^(1/p) under the uniform measure; requires finite p >= 1."""
+    _check_range("norm index", p, 1.0, math.inf, hi_open=True)
     return float(np.mean(np.abs(f.values) ** p) ** (1.0 / p))
 
 

@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import inspect
 import math
+import sys
 from dataclasses import dataclass, field
 from itertools import product
 from typing import Callable, Mapping
@@ -10,6 +12,7 @@ from typing import Callable, Mapping
 import numpy as np
 
 from . import adder_mac, entropy, exponents, hypercontractivity
+from .entropy import _check_range
 from .oracle import rectangle_prob, sphere_distance_profile
 
 __all__ = [
@@ -45,8 +48,10 @@ class AxisSpec:
             raise ValueError(f"axis count must be >= 2, got {self.count!r}")
         if self.spacing not in ("linear", "log"):
             raise ValueError(f"spacing must be 'linear' or 'log', got {self.spacing!r}")
-        if self.spacing == "log" and (self.start <= 0.0 or self.stop <= 0.0):
-            raise ValueError("log spacing requires positive endpoints")
+        # Log spacing needs positive endpoints; either way they are finite.
+        lo = 0.0 if self.spacing == "log" else -math.inf
+        _check_range("start", self.start, lo, math.inf, lo_open=True, hi_open=True)
+        _check_range("stop", self.stop, lo, math.inf, lo_open=True, hi_open=True)
 
     def points(self) -> tuple[float, ...]:
         if self.spacing == "log":
@@ -150,107 +155,59 @@ def _format_cell(cell) -> str:
     return repr(float(cell))
 
 
-@dataclass(frozen=True)
-class SweepOperation:
-    """Registry entry: callable plus its input/output column names."""
+def _van_tilborg_cap(d: float, r1: float, r2: float) -> float:
+    return adder_mac.van_tilborg_wd_cap(d, adder_mac.RatePair(r1, r2))
 
-    fn: Callable[..., tuple]
-    inputs: tuple[str, ...]
-    outputs: tuple[str, ...]
-    string_inputs: frozenset[str] = frozenset()
-    defaults: Mapping[str, float | str] = field(default_factory=dict)
+
+def _zero_error_upper(r1: float, r2: float, rho: float) -> exponents.ExponentBound:
+    return adder_mac.zero_error_upper_exponent(adder_mac.RatePair(r1, r2), rho)
+
+
+class SweepOperation:
+    """Registry entry: a library function and the columns it fills.
+
+    The inputs, their defaults and the string-valued inputs (those whose
+    default is a str) are read from the function's signature.  The
+    function itself is looked up on its module at every call, so whatever
+    that module attribute holds at the time (a wrapper, say) is what runs.
+    """
+
+    def __init__(self, fn: Callable, *outputs: str):
+        self.module = sys.modules[fn.__module__]
+        self.name = fn.__name__
+        self.outputs = outputs
+        params = inspect.signature(fn).parameters.values()
+        self.inputs = tuple(p.name for p in params)
+        self.defaults = {p.name: p.default for p in params if p.default is not p.empty}
+        self.string_inputs = frozenset(
+            name for name, value in self.defaults.items() if isinstance(value, str)
+        )
+
+    def __call__(self, **kwargs) -> tuple:
+        result = getattr(self.module, self.name)(**kwargs)
+        if isinstance(result, exponents.ExponentBound):
+            return (result.value, result.d_opt)[: len(self.outputs)]
+        return result if isinstance(result, tuple) else (result,)
 
 
 OPERATIONS: dict[str, SweepOperation] = {
-    "binary_entropy": SweepOperation(
-        lambda p: (entropy.binary_entropy(p),), ("p",), ("h",)
-    ),
-    "binary_entropy_inv": SweepOperation(
-        lambda y: (entropy.binary_entropy_inv(y),), ("y",), ("p",)
-    ),
-    "phi": SweepOperation(
-        lambda x, y: (entropy.phi(x, y),), ("x", "y"), ("phi",)
-    ),
-    "c_function": SweepOperation(
-        lambda lam: (hypercontractivity.c_function(lam),), ("lam",), ("c",)
-    ),
-    "w_d": SweepOperation(
-        lambda alpha, beta, d: (exponents.w_d(alpha, beta, d),),
-        ("alpha", "beta", "d"),
-        ("w",),
-    ),
-    "sphere_exponent": SweepOperation(
-        lambda alpha, beta, rho, centers: (
-            lambda bound: (bound.value, bound.d_opt)
-        )(exponents.sphere_exponent(alpha, beta, rho, centers)),
-        ("alpha", "beta", "rho", "centers"),
-        ("exponent", "d_opt"),
-        string_inputs=frozenset({"centers"}),
-        defaults={"centers": "same"},
-    ),
-    "hct_upper": SweepOperation(
-        lambda alpha, rho: (exponents.hct_upper_exponent(alpha, rho).value,),
-        ("alpha", "rho"),
-        ("exponent",),
-    ),
-    "rhct_lower": SweepOperation(
-        lambda alpha, rho: (exponents.rhct_lower_exponent(alpha, rho).value,),
-        ("alpha", "rho"),
-        ("exponent",),
-    ),
-    "morss_lower": SweepOperation(
-        lambda alpha, beta, rho: (
-            exponents.morss_lower_exponent(alpha, beta, rho).value,
-        ),
-        ("alpha", "beta", "rho"),
-        ("exponent",),
-    ),
-    "avgdist_lower": SweepOperation(
-        lambda alpha, beta, rho: (
-            exponents.avgdist_lower_exponent(alpha, beta, rho).value,
-        ),
-        ("alpha", "beta", "rho"),
-        ("exponent",),
-    ),
-    "thm1_expansion": SweepOperation(
-        lambda alpha, rho: (exponents.thm1_expansion(alpha, rho).value,),
-        ("alpha", "rho"),
-        ("exponent",),
-    ),
-    "thm2_expansion": SweepOperation(
-        lambda alpha, beta, rho: (
-            exponents.thm2_expansion(alpha, beta, rho).value,
-        ),
-        ("alpha", "beta", "rho"),
-        ("exponent",),
-    ),
-    "avg_distance_bounds": SweepOperation(
-        lambda alpha, beta: exponents.avg_distance_bounds(alpha, beta),
-        ("alpha", "beta"),
-        ("d_min", "d_max"),
-    ),
-    "remark3_threshold": SweepOperation(
-        lambda rho: (exponents.remark3_threshold(rho),), ("rho",), ("alpha_star",)
-    ),
-    "psi_bound": SweepOperation(
-        lambda alpha, rho: (hypercontractivity.psi_bound(alpha, rho).value,),
-        ("alpha", "rho"),
-        ("exponent",),
-    ),
-    "van_tilborg_cap": SweepOperation(
-        lambda d, r1, r2: (
-            adder_mac.van_tilborg_wd_cap(d, adder_mac.RatePair(r1, r2)),
-        ),
-        ("d", "r1", "r2"),
-        ("cap",),
-    ),
-    "zero_error_upper": SweepOperation(
-        lambda r1, r2, rho: (
-            lambda bound: (bound.value, bound.d_opt)
-        )(adder_mac.zero_error_upper_exponent(adder_mac.RatePair(r1, r2), rho)),
-        ("r1", "r2", "rho"),
-        ("exponent", "d_opt"),
-    ),
+    "binary_entropy": SweepOperation(entropy.binary_entropy, "h"),
+    "binary_entropy_inv": SweepOperation(entropy.binary_entropy_inv, "p"),
+    "phi": SweepOperation(entropy.phi, "phi"),
+    "c_function": SweepOperation(hypercontractivity.c_function, "c"),
+    "w_d": SweepOperation(exponents.w_d, "w"),
+    "sphere_exponent": SweepOperation(exponents.sphere_exponent, "exponent", "d_opt"),
+    "hct_upper": SweepOperation(exponents.hct_upper_exponent, "exponent"),
+    "rhct_lower": SweepOperation(exponents.rhct_lower_exponent, "exponent"),
+    "morss_lower": SweepOperation(exponents.morss_lower_exponent, "exponent"),
+    "avgdist_lower": SweepOperation(exponents.avgdist_lower_exponent, "exponent"),
+    "thm1_expansion": SweepOperation(exponents.thm1_expansion, "exponent"),
+    "thm2_expansion": SweepOperation(exponents.thm2_expansion, "exponent"),
+    "avg_distance_bounds": SweepOperation(exponents.avg_distance_bounds, "d_min", "d_max"),
+    "remark3_threshold": SweepOperation(exponents.remark3_threshold, "alpha_star"),
+    "psi_bound": SweepOperation(hypercontractivity.psi_bound, "exponent"),
+    "van_tilborg_cap": SweepOperation(_van_tilborg_cap, "cap"),
+    "zero_error_upper": SweepOperation(_zero_error_upper, "exponent", "d_opt"),
 }
 
 
@@ -280,7 +237,7 @@ def run_sweep(spec: SweepSpec) -> ResultTable:
         for name, source in aliases.items():
             kwargs[name] = point[source]
         try:
-            outputs = op.fn(**kwargs)
+            outputs = op(**kwargs)
         except Exception as exc:
             where = ", ".join(f"{k}={v!r}" for k, v in sorted(kwargs.items()))
             raise SweepError(

@@ -25,7 +25,7 @@ from hyperrect import (
     pair_distance_profile,
     phi,
     psi_bound,
-    rectangle_prob_direct_fraction,
+    rectangle_prob_direct,
     rectangle_prob_fraction,
     remark3_threshold,
     solve_q,
@@ -61,7 +61,7 @@ def test_criterion_01_oracle_exactness():
         den = rng.choice((2, 3, 4, 5, 7, 8, 10, 16))
         rho = Fraction(rng.randint(0, den), den)
         via_profile = rectangle_prob_fraction(pair_distance_profile(a, b), rho)
-        direct = rectangle_prob_direct_fraction(a, b, rho)
+        direct = rectangle_prob_direct(a, b, rho)
         if via_profile != direct:
             mismatches += 1
     sphere_mismatches = 0

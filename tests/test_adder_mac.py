@@ -276,6 +276,16 @@ class TestFeasibilityScan:
         with pytest.raises(ValueError):
             feasibility_scan([0.5], [1.0])
 
+    def test_margin_default_frontier(self):
+        frontier = feasibility_scan([0.3, 0.6, 0.9], [0.2, 0.5, 0.8])
+        assert frontier.r2_max == (0.9, 0.9, 0.6)
+
+    @pytest.mark.parametrize("margin", [math.nan, math.inf, -math.inf, -1e-3])
+    def test_margin_must_be_finite_nonnegative(self, margin):
+        # Unchecked, margin = nan excludes nothing: (0.9, 0.9, 0.9).
+        with pytest.raises(ValueError):
+            feasibility_scan([0.3, 0.6, 0.9], [0.2, 0.5, 0.8], margin=margin)
+
     def test_frontier_type(self):
         frontier = self.make_scan(m=3, rho_points=10)
         assert isinstance(frontier, FeasibilityFrontier)

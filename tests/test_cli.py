@@ -20,6 +20,8 @@ from hyperrect import (
     thm1_expansion,
     write_set_file,
 )
+import hyperrect.cli as cli_module
+import hyperrect.oracle as oracle_module
 from hyperrect.cli import main
 
 
@@ -140,6 +142,32 @@ class TestOracleCommand:
         pairs = parse_pairs(out)
         assert pairs["p_exact"] == "27/256"
         assert float(pairs["log2_p"]) == pytest.approx(math.log2(27 / 256))
+
+    def test_exact_mode_sums_once(self, capsys, tmp_path, monkeypatch):
+        # The rational sum is computed once; log2_p is taken from it.
+        calls = []
+        original = oracle_module.rectangle_prob_fraction
+
+        def spy(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(oracle_module, "rectangle_prob_fraction", spy)
+        monkeypatch.setattr(cli_module, "rectangle_prob_fraction", spy)
+        path = tmp_path / "s.set"
+        write_set_file(path, CubeSet.sphere(4, 1))
+        code, out, _ = run_cli(
+            capsys,
+            "oracle", "--n", "4", "--set-a", str(path), "--set-b", str(path),
+            "--rho", "1/3", "--exact",
+        )
+        assert code == 0
+        assert len(calls) == 1
+        assert out == (
+            "log2_p = -3.53249508082702\n"
+            "p_exact = 7/81\n"
+            "exponent = 0.883123770206755\n"
+        )
 
     def test_exponent_output(self, capsys, tmp_path):
         a = tmp_path / "a.set"
@@ -353,6 +381,16 @@ class TestScanCommand:
     def test_bad_range_exit_2(self, capsys):
         code, _, _ = run_cli(capsys, "scan", "--r1", "0.5", "--rho", "0.1:0.9:5")
         assert code == 2
+
+    @pytest.mark.parametrize("margin", ["nan", "inf", "-inf", "-1e-3"])
+    def test_bad_margin_exit_2(self, capsys, margin):
+        code, out, err = run_cli(
+            capsys,
+            "scan", "--r1", "0.3:0.9:3", "--rho", "0.2:0.8:3", f"--margin={margin}",
+        )
+        assert code == 2
+        assert out == ""
+        assert "margin" in err
 
 
 class TestVerifyCommand:

@@ -8,6 +8,7 @@ properties (convexity, monotonicity) checked on grids and random draws.
 
 import math
 import random
+from fractions import Fraction
 
 import mpmath
 import pytest
@@ -24,6 +25,7 @@ from hyperrect import (
     star,
     v_func,
 )
+from hyperrect.entropy import _check_range
 
 
 def mp_entropy(p):
@@ -290,3 +292,38 @@ class TestGFunc:
     def test_below_one_rejected(self):
         with pytest.raises(ValueError):
             g_func(0.999)
+
+    @pytest.mark.parametrize("y", [math.nan, math.inf, -math.inf])
+    def test_non_finite_rejected(self, y):
+        # Unchecked, both give nan.
+        with pytest.raises(ValueError):
+            g_func(y)
+
+
+class TestCheckRange:
+    """The package's one domain check (entropy._check_range)."""
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_rejected_by_every_interval(self, value):
+        for lo, hi in ((0.0, 1.0), (-math.inf, math.inf), (1.0, math.inf)):
+            with pytest.raises(ValueError):
+                _check_range("x", value, lo, hi, lo_open=math.isinf(lo), hi_open=math.isinf(hi))
+
+    def test_open_and_closed_ends(self):
+        _check_range("x", 0.0, 0.0, 1.0)
+        _check_range("x", 1.0, 0.0, 1.0)
+        with pytest.raises(ValueError):
+            _check_range("x", 0.0, 0.0, 1.0, lo_open=True)
+        with pytest.raises(ValueError):
+            _check_range("x", 1.0, 0.0, 1.0, hi_open=True)
+
+    def test_message_names_interval_and_value(self):
+        with pytest.raises(ValueError, match=r"^alpha must lie in \(0, 1\], got 1\.5$"):
+            _check_range("alpha", 1.5, 0.0, 1.0, lo_open=True)
+        with pytest.raises(ValueError, match=r"^margin must lie in \[0, inf\), got nan$"):
+            _check_range("margin", math.nan, 0.0, math.inf, hi_open=True)
+
+    def test_fractions(self):
+        _check_range("rho", Fraction(1, 3), 0, 1)
+        with pytest.raises(ValueError):
+            _check_range("rho", Fraction(4, 3), 0, 1)

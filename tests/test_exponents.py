@@ -403,10 +403,16 @@ class TestSandwich:
 
 
 class TestExponentBoundType:
-    def test_direction_consistency_enforced(self):
-        with pytest.raises(ValueError):
+    def test_direction_derived_from_kind(self):
+        for kind, direction in exponents_module.KIND_DIRECTION.items():
+            assert ExponentBound(1.0, kind).direction == direction
+
+    def test_old_positional_direction_rejected(self):
+        # valid and d_opt are keyword-only, so a stale positional direction
+        # cannot land in valid.
+        with pytest.raises(TypeError):
             ExponentBound(1.0, "hct_upper", "lower_on_P")
 
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError):
-            ExponentBound(1.0, "mystery", "upper_on_P")
+            ExponentBound(1.0, "mystery")

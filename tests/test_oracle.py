@@ -31,7 +31,6 @@ from hyperrect import (
     read_set_file,
     rectangle_prob,
     rectangle_prob_direct,
-    rectangle_prob_direct_fraction,
     rectangle_prob_fraction,
     sphere_distance_profile,
     write_set_file,
@@ -208,7 +207,7 @@ class TestRectangleProb:
             a = random_set(rng, n, rng.randint(1, 2**n))
             b = random_set(rng, n, rng.randint(1, 2**n))
             expected = math.log2(len(a)) + math.log2(len(b)) - 2 * n
-            assert rectangle_prob_direct(a, b, 0.0) == pytest.approx(
+            assert math.log2(rectangle_prob_direct(a, b, 0.0)) == pytest.approx(
                 expected, abs=1e-10
             )
 
@@ -217,7 +216,7 @@ class TestRectangleProb:
         for _ in range(5):
             n = rng.randint(2, 8)
             a = random_set(rng, n, rng.randint(1, 2**n))
-            got = rectangle_prob_direct(a, a, 1.0 - 1e-9)
+            got = math.log2(rectangle_prob_direct(a, a, 1.0 - 1e-9))
             assert got == pytest.approx(math.log2(len(a)) - n, abs=1e-6)
 
     def test_perfect_correlation_exact(self):
@@ -233,6 +232,21 @@ class TestRectangleProb:
         with pytest.raises(ValueError):
             rectangle_prob(p, 1.0)
 
+    def test_direct_returns_rho_number_type(self):
+        # One double loop: a Fraction rho gives the exact Fraction, a float
+        # rho a float in plain probability space (here 27/256 = 0.10546875).
+        a = CubeSet.sphere(4, 1)
+        exact = rectangle_prob_direct(a, a, Fraction(1, 2))
+        assert isinstance(exact, Fraction) and exact == Fraction(27, 256)
+        approx = rectangle_prob_direct(a, a, 0.5)
+        assert isinstance(approx, float) and approx == pytest.approx(27 / 256, rel=1e-15)
+
+    @pytest.mark.parametrize("rho", [math.nan, -0.1, 1.5, Fraction(3, 2)])
+    def test_direct_rejects_rho_outside_unit_interval(self, rho):
+        a = CubeSet.sphere(3, 1)
+        with pytest.raises(ValueError):
+            rectangle_prob_direct(a, a, rho)
+
     def test_direct_agrees_with_profile_path(self):
         rng = random.Random(31)
         for _ in range(50):
@@ -241,7 +255,7 @@ class TestRectangleProb:
             b = random_set(rng, n, rng.randint(1, 2**n))
             rho = rng.random() * 0.99
             via_profile = rectangle_prob(pair_distance_profile(a, b), rho)
-            direct = rectangle_prob_direct(a, b, rho)
+            direct = math.log2(rectangle_prob_direct(a, b, rho))
             assert direct == pytest.approx(via_profile, abs=1e-11)
 
     def test_direct_agrees_exactly_in_rational_mode(self):
@@ -252,7 +266,7 @@ class TestRectangleProb:
             b = random_set(rng, n, rng.randint(1, 2**n))
             rho = Fraction(rng.randint(0, 10), 10)
             via_profile = rectangle_prob_fraction(pair_distance_profile(a, b), rho)
-            assert rectangle_prob_direct_fraction(a, b, rho) == via_profile
+            assert rectangle_prob_direct(a, b, rho) == via_profile
 
     def test_monotone_in_rho_for_diagonal_sets(self):
         # P[A x A] grows with correlation when A is a subcube.
@@ -317,7 +331,7 @@ class TestNoiseOperator:
             a = random_set(rng, n, rng.randint(1, 2**n))
             b = random_set(rng, n, rng.randint(1, 2**n))
             rho = rng.random() * 0.99
-            lhs = 2.0 ** rectangle_prob_direct(a, b, rho)
+            lhs = rectangle_prob_direct(a, b, rho)
             rhs = inner_product(
                 CubeFunction.indicator(b), noise_operator(CubeFunction.indicator(a), rho)
             )
@@ -377,6 +391,14 @@ class TestPNorm:
         f = CubeFunction.constant(2, 1.0)
         with pytest.raises(ValueError):
             p_norm(f, 0.9)
+
+    @pytest.mark.parametrize("p", [math.nan, math.inf, -math.inf])
+    def test_non_finite_p_rejected(self, p):
+        # Unchecked, NaN gives nan and inf gives 1.0 for the constant 0.5,
+        # whose sup-norm is 0.5.
+        f = CubeFunction.constant(2, 0.5)
+        with pytest.raises(ValueError):
+            p_norm(f, p)
 
 
 class TestComplementSet:
@@ -460,9 +482,7 @@ def test_profile_probability_consistency(n, data):
     sb = CubeSet(n, tuple(sorted(b)))
     profile = pair_distance_profile(sa, sb)
     assert sum(profile.counts) == len(sa) * len(sb)
-    assert rectangle_prob_fraction(profile, rho) == rectangle_prob_direct_fraction(
-        sa, sb, rho
-    )
+    assert rectangle_prob_fraction(profile, rho) == rectangle_prob_direct(sa, sb, rho)
 
 
 def test_declared_numpy_floor_has_bitwise_count():

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import hyperrect.entropy as entropy_module
+import hyperrect.exponents as exponents_module
 from hyperrect import (
     NEG_INF,
     AxisSpec,
@@ -21,7 +22,7 @@ from hyperrect import (
     sphere_exponent,
     thm1_expansion,
 )
-from hyperrect.sweeps import _format_cell
+from hyperrect.sweeps import OPERATIONS, _format_cell
 
 
 class TestAxisSpec:
@@ -48,6 +49,15 @@ class TestAxisSpec:
     def test_log_requires_positive(self):
         with pytest.raises(ValueError):
             AxisSpec("rho", 0.0, 1.0, 3, spacing="log")
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("spacing", ["linear", "log"])
+    def test_non_finite_endpoint_rejected(self, bad, spacing):
+        # Unchecked, a NaN start yields the points (nan, nan, 1.0).
+        with pytest.raises(ValueError):
+            AxisSpec("x", bad, 1.0, 3, spacing)
+        with pytest.raises(ValueError):
+            AxisSpec("x", 0.5, bad, 3, spacing)
 
 
 class TestRunSweep:
@@ -313,3 +323,110 @@ class TestConvergenceStudy:
     def test_empty_list_rejected(self):
         with pytest.raises(ValueError):
             convergence_study(0.5, 0.5, [])
+
+
+# One small sweep per registered operation: the grid, the fixed params and
+# the CSV text the registry produced before its inputs were read from
+# signatures.
+_PINNED_SWEEPS = {
+    "binary_entropy": ((("p", 0.1, 0.5, 3),), {}),
+    "binary_entropy_inv": ((("y", 0.2, 1.0, 3),), {}),
+    "phi": ((("x", 0.2, 0.8, 2), ("y", 0.3, 0.9, 2)), {}),
+    "c_function": ((("lam", 0.0, 0.6, 3),), {}),
+    "w_d": ((("d", 0.12, 0.26, 3),), {"alpha": 0.4, "beta": 0.7}),
+    "sphere_exponent": (
+        (("rho", 0.2, 0.8, 2),),
+        {"alpha": 0.4, "beta": 0.7, "centers": "opposite"},
+    ),
+    "hct_upper": ((("rho", 0.0, 1.0, 3),), {"alpha": 0.4}),
+    "rhct_lower": ((("rho", 0.0, 0.8, 3),), {"alpha": 0.4}),
+    "morss_lower": ((("rho", 0.0, 0.8, 3),), {"alpha": 0.4, "beta": 0.7}),
+    "avgdist_lower": ((("rho", 0.0, 0.8, 3),), {"alpha": 0.4, "beta": 0.7}),
+    "thm1_expansion": ((("rho", 0.85, 0.95, 3),), {"alpha": 0.4}),
+    "thm2_expansion": ((("rho", 0.0, 0.2, 3),), {"alpha": 0.4, "beta": 0.7}),
+    "avg_distance_bounds": ((("alpha", 0.2, 0.8, 3),), {"beta": 0.5}),
+    "remark3_threshold": ((("rho", 0.1, 0.9, 3),), {}),
+    "psi_bound": ((("rho", 0.9, 0.95, 2),), {"alpha": 0.5}),
+    "van_tilborg_cap": ((("d", 0.0, 1.0, 3),), {"r1": 0.3, "r2": 0.6}),
+    "zero_error_upper": ((("rho", 0.0, 0.8, 3),), {"r1": 0.3, "r2": 0.6}),
+}
+
+_PINNED_CSV = {
+    'binary_entropy': 'p,h\n0.1,0.4689955935892812\n0.30000000000000004,0.8812908992306927\n0.5,1.0\n',
+    'binary_entropy_inv': 'y,p\n0.2,0.03112446030478938\n0.6000000000000001,0.14610240341188707\n1.0,0.5\n',
+    'phi': 'x,y,phi\n0.2,0.3,0.08104942825894124\n0.2,0.9,0.3274719434280079\n0.8,0.3,0.27036831042204335\n0.8,0.9,0.40543536206291536\n',
+    'c_function': 'lam,c\n0.0,2.0\n0.3,2.1305734051606504\n0.6,2.428980131691176\n',
+    'w_d': 'd,w\n0.12,0.9271695031532532\n0.19,1.0696541360384693\n0.26,1.0905697292926504\n',
+    'sphere_exponent': 'rho,exponent,d_opt\n0.2,1.0777615879647848,0.25305907241458175\n0.8,2.395028776013201,0.2681754168517631\n',
+    'hct_upper': 'rho,exponent\n0.0,1.2\n0.5,0.7999999999999999\n1.0,0.6\n',
+    'rhct_lower': 'rho,exponent\n0.0,1.2\n0.4,2.0\n0.8,6.000000000000001\n',
+    'morss_lower': 'rho,exponent\n0.0,0.9\n0.4,1.4754895892494557\n0.8,4.385618083164129\n',
+    'avgdist_lower': 'rho,exponent\n0.0,0.9\n0.4,1.3452704697410143\n0.8,2.465500247679904\n',
+    'thm1_expansion': 'rho,exponent\n0.85,0.6497004870885021\n0.8999999999999999,0.6331336580590015\n0.95,0.6165668290295007\n',
+    'thm2_expansion': 'rho,exponent\n0.0,0.9\n0.1,0.9754164742247843\n0.2,1.0508329484495686\n',
+    'avg_distance_bounds': 'alpha,d_min,d_max\n0.2,0.134303208944884,0.865696791055116\n0.5,0.19584346697098703,0.804156533029013\n0.8,0.2995573280775323,0.7004426719224677\n',
+    'remark3_threshold': 'rho,alpha_star\n0.1,0.31598607949727475\n0.5,0.5\n0.9,0.8154484391729244\n',
+    'psi_bound': 'rho,exponent\n0.9,0.5283214088902755\n0.95,0.5138201742756776\n',
+    'van_tilborg_cap': 'd,cap\n0.0,0.0\n0.5,0.8999999999999999\n1.0,0.0\n',
+    'zero_error_upper': 'rho,exponent,d_opt\n0.0,1.1,0.192769917116768\n0.4,0.850213658574951,0.192769917116768\n0.8,0.8624964762500651,0.18181818181818177\n',
+}
+
+_PINNED_INPUTS = {
+    "binary_entropy": (("p",), {}),
+    "binary_entropy_inv": (("y",), {}),
+    "phi": (("x", "y"), {}),
+    "c_function": (("lam",), {}),
+    "w_d": (("alpha", "beta", "d"), {}),
+    "sphere_exponent": (("alpha", "beta", "rho", "centers"), {"centers": "same"}),
+    "hct_upper": (("alpha", "rho"), {}),
+    "rhct_lower": (("alpha", "rho"), {}),
+    "morss_lower": (("alpha", "beta", "rho"), {}),
+    "avgdist_lower": (("alpha", "beta", "rho"), {}),
+    "thm1_expansion": (("alpha", "rho"), {}),
+    "thm2_expansion": (("alpha", "beta", "rho"), {}),
+    "avg_distance_bounds": (("alpha", "beta"), {}),
+    "remark3_threshold": (("rho",), {}),
+    # split became a sweep input when the inputs came to be read from
+    # psi_bound's signature.
+    "psi_bound": (("alpha", "rho", "split"), {"split": 0.5}),
+    "van_tilborg_cap": (("d", "r1", "r2"), {}),
+    "zero_error_upper": (("r1", "r2", "rho"), {}),
+}
+
+
+class TestRegistryPinned:
+    def test_every_operation_pinned(self):
+        assert set(_PINNED_SWEEPS) == set(_PINNED_CSV) == set(_PINNED_INPUTS) == set(OPERATIONS)
+
+    @pytest.mark.parametrize("name", sorted(_PINNED_SWEEPS))
+    def test_csv_text(self, name):
+        axes, params = _PINNED_SWEEPS[name]
+        spec = SweepSpec(name, axes=tuple(AxisSpec(*a) for a in axes), params=params)
+        assert run_sweep(spec).to_csv_text() == _PINNED_CSV[name]
+
+    @pytest.mark.parametrize("name", sorted(_PINNED_INPUTS))
+    def test_inputs_and_defaults(self, name):
+        inputs, defaults = _PINNED_INPUTS[name]
+        op = OPERATIONS[name]
+        assert op.inputs == inputs
+        assert dict(op.defaults) == defaults
+        assert op.string_inputs == {k for k, v in defaults.items() if isinstance(v, str)}
+
+    def test_function_looked_up_at_call_time(self):
+        # A replaced module attribute is what runs, so wrappers around the
+        # library's functions see every sweep point.
+        calls = []
+        original = exponents_module.sphere_exponent
+
+        def spy(*args, **kwargs):
+            calls.append(kwargs)
+            return original(*args, **kwargs)
+
+        spec = SweepSpec(
+            "sphere_exponent",
+            axes=(AxisSpec("rho", 0.2, 0.8, 3),),
+            params={"alpha": 0.4, "beta": 0.7},
+        )
+        with mock.patch.object(exponents_module, "sphere_exponent", spy):
+            run_sweep(spec)
+        assert len(calls) == 3
