@@ -158,11 +158,16 @@ def feasibility_scan(
     i.e. every zero-error code of those rates would need to be less
     probable than any set pair of those sizes can be.  R2 candidates
     default to the R1 grid.  Every grid must be nonempty inside (0, 1),
+    the product of the three grid sizes at most `sweeps.MAX_GRID_POINTS`,
     and the margin finite and nonnegative.
     """
+    # sweeps imports this module, so its budget is imported at call time.
+    from .sweeps import _check_grid_budget
+
     r1_values = tuple(float(v) for v in r1_grid)
     rho_values = tuple(float(v) for v in rho_grid)
     r2_values = r1_values if r2_grid is None else tuple(float(v) for v in r2_grid)
+    _check_grid_budget("scan", len(r1_values) * len(r2_values) * len(rho_values))
     for name, grid in (("r1", r1_values), ("rho", rho_values), ("r2", r2_values)):
         if not grid:
             raise ValueError(f"{name} grid must be nonempty")

@@ -31,7 +31,9 @@ from .oracle import (
     rectangle_prob,
     rectangle_prob_fraction,
 )
-from .sweeps import AxisSpec, ResultTable, SweepError, SweepSpec, figure_phi_surface, run_sweep
+from .sweeps import (
+    AxisSpec, ResultTable, SweepError, SweepSpec, _check_grid_budget, figure_phi_surface, run_sweep,
+)
 from .verify import SUITES, run_suites
 
 _USAGE_ERROR = 2
@@ -57,6 +59,7 @@ def _grid(text: str) -> list[float]:
     start, stop, count = _parse_range(text)
     if count < 1:
         raise ValueError(f"count must be >= 1, got {count}")
+    _check_grid_budget("grid", count)
     if count == 1:
         return [start]
     step = (stop - start) / (count - 1)
@@ -194,25 +197,18 @@ def _cmd_scan(args) -> int:
         None if args.r2 is None else _grid(args.r2),
         margin=args.margin,
     )
+    if args.json:
+        print(json.dumps({
+            "r1": list(frontier.r1_values),
+            "r2_max": list(frontier.r2_max),
+            "margin": frontier.margin,
+        }))
+        return 0
     rows = [
         (r1, math.nan if r2 is None else r2)
         for r1, r2 in zip(frontier.r1_values, frontier.r2_max)
     ]
-    table = ResultTable(("r1", "r2_max"), tuple(rows))
-    if args.json:
-        print(
-            json.dumps(
-                {
-                    "r1": list(frontier.r1_values),
-                    "r2_max": [
-                        None if value is None else value for value in frontier.r2_max
-                    ],
-                    "margin": frontier.margin,
-                }
-            )
-        )
-    else:
-        _emit(table, args.out)
+    _emit(ResultTable(("r1", "r2_max"), tuple(rows)), args.out)
     return 0
 
 
@@ -224,12 +220,8 @@ def _cmd_verify(args) -> int:
             "seed": args.seed,
             "passed": all(r.passed for r in results),
             "results": [
-                {
-                    "suite": r.suite,
-                    "name": r.name,
-                    "passed": r.passed,
-                    "detail": r.detail,
-                }
+                {"suite": r.suite, "name": r.name, "passed": r.passed,
+                 "detail": r.detail, "elapsed_s": r.elapsed}
                 for r in results
             ],
         }

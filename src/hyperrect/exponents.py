@@ -30,7 +30,6 @@ from .entropy import (
     binary_entropy_inv,
     phi,
 )
-from .optimize import golden_section_maximize
 
 __all__ = [
     "KIND_DIRECTION",
@@ -163,23 +162,41 @@ def sphere_exponent(
     with L = log2((1-rho)/(1+rho)) <= 0.  ``d_opt`` reports the inner
     argmax; for opposite centers it is the distance between the
     un-reflected spheres (realized pair distances concentrate at 1 - d_opt).
+
+    The inner maximum is in closed form.  With r_a <= r_b, s = r_a + r_b
+    and delta = r_b - r_a, `w_d` is alpha + r_a h(x) + (1 - r_a) h(y) for
+    x = (s - d)/(2 r_a) and y = (d + delta)/(2 (1 - r_a)), so
+    dw/dd = (h'(y) - h'(x))/2 with h'(p) = log2((1-p)/p).  With
+    K = ((1+rho)/(1-rho))^(+-2), + for same centers and - for opposite,
+    the stationary condition dw/dd +- L = 0 becomes
+
+        g(d) = (2 - s - d)(s - d) - K (d^2 - delta^2) = 0.
+
+    g(delta) >= 0 >= g(s) and g'(d) = -2 + 2 d (1 - K) < 0 on [0, 1], so
+    g has one root in the feasible interval [delta, s], where the concave
+    objective peaks.  With c = s (2 - s) + K delta^2 that root of
+    (1 - K) d^2 - 2 d + c, free of cancellation and of any division by
+    1 - K, is d = c / (1 + sqrt(1 - (1 - K) c)); at rho = 0 (K = 1) it
+    is c / 2 = s - 2 r_a r_b = phi(alpha, beta).  It is clipped to
+    [delta, s] against roundoff before `w_d` is evaluated there.
     """
     _check_range("correlation", rho, 0.0, 1.0, hi_open=True)
     if centers not in ("same", "opposite"):
         raise ValueError(f"centers must be 'same' or 'opposite', got {centers!r}")
     small_rate, r_a, r_b = _sphere_radii(alpha, beta)
-    distance_log = math.log2((1.0 - rho) / (1.0 + rho))
+    ratio = (1.0 - rho) / (1.0 + rho)
+    distance_log = math.log2(ratio)
     if centers == "same":
-        sign, kind = 1.0, "sphere_same"
+        sign, kind, k = 1.0, "sphere_same", 1.0 / (ratio * ratio)
         prefactor = 2.0 - math.log2(1.0 + rho)
     else:
-        sign, kind = -1.0, "sphere_opposite"
+        sign, kind, k = -1.0, "sphere_opposite", ratio * ratio
         prefactor = 2.0 - math.log2(1.0 - rho)
-
-    def objective(d: float) -> float:
-        return _w_d_from_radii(small_rate, r_a, r_b, d) + sign * d * distance_log
-
-    d_opt, peak = golden_section_maximize(objective, r_b - r_a, r_b + r_a)
+    s, delta = r_a + r_b, r_b - r_a
+    c = s * (2.0 - s) + k * delta * delta
+    root = c / (1.0 + math.sqrt(max(0.0, 1.0 - (1.0 - k) * c)))
+    d_opt = min(max(root, delta), s)
+    peak = _w_d_from_radii(small_rate, r_a, r_b, d_opt) + sign * d_opt * distance_log
     return ExponentBound(prefactor - peak, kind, d_opt=d_opt)
 
 

@@ -246,6 +246,9 @@ def sphere_distance_profile(n: int, i: int, j: int) -> DistanceProfile:
     return DistanceProfile(n, tuple(counts), math.comb(n, i), math.comb(n, j))
 
 
+_UNREALIZABLE = "no pair of sets has this distance profile"
+
+
 def _log2_fraction(value: Fraction) -> float:
     if value == 0:
         return NEG_INF
@@ -279,6 +282,13 @@ def rectangle_prob(profile: DistanceProfile, rho: float) -> float:
     ]
     peak = max(terms)
     total = peak + math.log2(sum(2.0 ** (t - peak) for t in terms))
+    # P <= 1 for real sets, so only roundoff may lift the sum above 0.  A
+    # term adds parts of size <= 2n (log2 c, c <= 4^n), 2n (base) and n|L|
+    # (k ratio), each off by a few ulps of its size: about 2 eps n (5 + |L|)
+    # with eps = ulp(1).  The log-sum-exp adds about 0.72 eps (n + 4), so
+    # the error stays below 7 eps n (2 + |L|); full cubes reach 0.81 of it.
+    if total > 8.0 * math.ulp(1.0) * n * (2.0 + abs(ratio)):
+        raise ValueError(f"log2 P = {total!r} > 0: {_UNREALIZABLE}")
     return min(total, 0.0)
 
 
@@ -296,6 +306,8 @@ def rectangle_prob_fraction(profile: DistanceProfile, rho) -> Fraction:
         if count:
             total += count * term
         term *= ratio
+    if total > 1:
+        raise ValueError(f"P = {total} > 1: {_UNREALIZABLE}")
     return total
 
 

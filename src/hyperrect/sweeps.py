@@ -16,6 +16,7 @@ from .entropy import _check_range
 from .oracle import rectangle_prob, sphere_distance_profile
 
 __all__ = [
+    "MAX_GRID_POINTS",
     "SweepError",
     "AxisSpec",
     "SweepSpec",
@@ -25,6 +26,16 @@ __all__ = [
     "figure_phi_surface",
     "convergence_study",
 ]
+
+
+# The most points an axis, sweep, figure or scan may hold; each checks its
+# count before it allocates anything.
+MAX_GRID_POINTS = 10**7
+
+
+def _check_grid_budget(what: str, points: int) -> None:
+    if points > MAX_GRID_POINTS:
+        raise ValueError(f"{what} has {points} points, over the budget of {MAX_GRID_POINTS}")
 
 
 class SweepError(RuntimeError):
@@ -46,6 +57,7 @@ class AxisSpec:
             raise ValueError(f"axis name must be an identifier, got {self.name!r}")
         if self.count < 2:
             raise ValueError(f"axis count must be >= 2, got {self.count!r}")
+        _check_grid_budget(f"axis {self.name!r}", self.count)
         if self.spacing not in ("linear", "log"):
             raise ValueError(f"spacing must be 'linear' or 'log', got {self.spacing!r}")
         # Log spacing needs positive endpoints; either way they are finite.
@@ -77,6 +89,7 @@ class SweepSpec:
     def __post_init__(self) -> None:
         object.__setattr__(self, "axes", tuple(self.axes))
         object.__setattr__(self, "params", dict(self.params))
+        _check_grid_budget("sweep", math.prod(axis.count for axis in self.axes))
         if self.operation not in OPERATIONS:
             known = ", ".join(sorted(OPERATIONS))
             raise ValueError(f"unknown operation {self.operation!r} (known: {known})")
@@ -260,6 +273,7 @@ def figure_phi_surface(grid_count: int) -> ResultTable:
     axis point is inverted once; the cells equal `entropy.phi` bit for bit
     and the rows come in the same x-major order as the generic sweep.
     """
+    _check_grid_budget("figure", grid_count * grid_count)
     points = AxisSpec("x", 0.0, 1.0, grid_count).points()
     inverses = [entropy.binary_entropy_inv(p) for p in points]
     rows = [

@@ -194,6 +194,15 @@ class TestFeasibilityScan:
         rho = [(i + 1) / (rho_points + 1) for i in range(rho_points)]
         return feasibility_scan(r1, rho)
 
+    def test_over_budget_rejected_before_scanning(self):
+        # 10**4 points per grid, 10**12 (R1, R2, rho) triples in all.
+        grid = [(i + 1) / (10**4 + 1) for i in range(10**4)]
+        with mock.patch.object(adder_mac_module, "phi", side_effect=AssertionError):
+            with pytest.raises(ValueError, match="budget"):
+                feasibility_scan(grid, grid, grid)
+            with pytest.raises(ValueError, match="budget"):
+                feasibility_scan(grid, grid)
+
     def test_frontier_nonincreasing(self):
         frontier = self.make_scan()
         assert frontier.is_nonincreasing()

@@ -7,6 +7,7 @@ a thin wrapper that must introduce no numerics of its own.
 
 import json
 import math
+import time
 
 import pytest
 
@@ -168,6 +169,23 @@ class TestOracleCommand:
             "p_exact = 7/81\n"
             "exponent = 0.883123770206755\n"
         )
+
+    @pytest.mark.parametrize("exact", [[], ["--exact"]])
+    def test_unrealizable_profile_exit_2(self, capsys, tmp_path, monkeypatch, exact):
+        # Set files always give realizable profiles, so substitute one
+        # with P = 225/16 at rho = 1/2.
+        bogus = oracle_module.DistanceProfile(2, (100, 0, 0), 10, 10)
+        monkeypatch.setattr(cli_module, "pair_distance_profile", lambda a, b: bogus)
+        a = tmp_path / "a.set"
+        a.write_text("n=2\n00\n")
+        code, out, err = run_cli(
+            capsys,
+            "oracle", "--n", "2", "--set-a", str(a), "--set-b", str(a),
+            "--rho", "1/2", *exact,
+        )
+        assert code == 2
+        assert out == ""
+        assert "no pair of sets" in err
 
     def test_exponent_output(self, capsys, tmp_path):
         a = tmp_path / "a.set"
@@ -336,6 +354,26 @@ class TestSweepCommand:
         assert "rho" in err
 
 
+class TestGridBudget:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["sweep", "--op", "phi", "--axis", "x=0:1:1000000000000", "--param", "y=0.5"],
+            ["sweep", "--op", "phi", "--axis", "x=0:1:1000000", "--axis", "y=0:1:1000000"],
+            ["figure", "--grid-count", "1000000"],
+            ["scan", "--r1", "0.1:0.9:1000000000000", "--rho", "0.1:0.9:3"],
+            ["scan", "--r1", "0.1:0.9:10000", "--rho", "0.1:0.9:10000"],
+        ],
+    )
+    def test_over_budget_exit_2(self, capsys, argv):
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, *argv)
+        assert time.perf_counter() - start < 1.0
+        assert code == 2
+        assert out == ""
+        assert "budget" in err
+
+
 class TestFigureCommand:
     def test_small_grid(self, capsys, tmp_path):
         out_path = tmp_path / "phi.csv"
@@ -411,6 +449,11 @@ class TestVerifyCommand:
         assert payload["results"]
         assert all(item["passed"] for item in payload["results"])
         assert all(item["suite"] == "entropy" for item in payload["results"])
+        assert all(item["elapsed_s"] >= 0.0 for item in payload["results"])
+
+    def test_plain_lines_carry_no_time(self, capsys):
+        _, out, _ = run_cli(capsys, "verify", "--suite", "entropy")
+        assert "elapsed" not in out
 
     def test_unknown_suite_exit_2(self, capsys):
         with pytest.raises(SystemExit) as info:

@@ -1,14 +1,17 @@
 """Tests for the asymptotic exponent computations.
 
 Closed-form bounds are checked by independent substitution into their
-defining formulas; the sphere exponent optimizer is checked against known
-endpoint values, the analytic optimizer location, and the near-rho=1
-expansion of the argmax.
+defining formulas; the closed-form sphere exponent is checked against
+known endpoint values, an mpmath reference, a dense grid of distances and
+the near-rho=1 expansion of its argmax.  The w_d concavity and peak
+properties and the hct <= sphere <= lower-family ordering are checks of
+the `verify` exponents suite, which tests/test_verify.py runs.
 """
 
 import math
 import random
 
+import mpmath
 import pytest
 
 import hyperrect.exponents as exponents_module
@@ -31,28 +34,65 @@ from hyperrect import (
     thm2_expansion,
     w_d,
 )
-from hyperrect.optimize import golden_section_maximize
+
+
+def mp_sphere_exponent(alpha, beta, rho, centers):
+    """Independent (E, d_opt) at 30 digits: the radii by mpmath's findroot,
+    the argmax by bisection on dw/dd +- L, where dw/dd = (h'(y) - h'(x))/2
+    decreases from +inf to -inf across the feasible interval (w_d is
+    concave)."""
+    with mpmath.workdps(30):
+        alpha, beta = sorted((mpmath.mpf(alpha), mpmath.mpf(beta)))
+        rho = mpmath.mpf(rho)
+        sign = 1 if centers == "same" else -1
+        ell = mpmath.log((1 - rho) / (1 + rho), 2)
+
+        def h(p):
+            return -(p * mpmath.log(p, 2) + (1 - p) * mpmath.log(1 - p, 2))
+
+        def slope(p):
+            return mpmath.log((1 - p) / p, 2)
+
+        def h_inv(rate):
+            if rate == 1:
+                return mpmath.mpf(0.5)
+            bracket = (mpmath.mpf(1e-30), mpmath.mpf(0.5))
+            return mpmath.findroot(lambda r: h(r) - rate, bracket, solver="anderson")
+
+        r_a, r_b = h_inv(alpha), h_inv(beta)
+
+        def x(d):
+            return (r_a + r_b - d) / (2 * r_a)
+
+        def y(d):
+            return (d + r_b - r_a) / (2 * (1 - r_a))
+
+        lo, hi = r_b - r_a, r_b + r_a
+        for _ in range(110):
+            d = (lo + hi) / 2
+            if (slope(y(d)) - slope(x(d))) / 2 + sign * ell > 0:
+                lo = d
+            else:
+                hi = d
+        w = alpha + r_a * h(x(d)) + (1 - r_a) * h(y(d))
+        return float(2 - mpmath.log(1 + sign * rho, 2) - (w + sign * d * ell)), float(d)
+
+
+def seeded_rates_rho(count, seed):
+    """(alpha, beta, rho) draws, with the edges the closed form meets:
+    rho = 0, rho near 1, equal rates and full rate."""
+    rng = random.Random(seed)
+    rates = lambda: (rng.uniform(0.02, 1.0), rng.uniform(0.02, 1.0))
+    points = [(*rates(), rng.uniform(0.0, 0.999)) for _ in range(count)]
+    points += [(*rates(), 1.0 - 10.0 ** -rng.uniform(3, 9)) for _ in range(count // 4)]
+    points += [(*rates(), 0.0) for _ in range(count // 4)]
+    return points + [(0.5, 0.5, 1 - 1e-9), (1.0, 1.0, 0.5), (1.0, 0.3, 1 - 1e-9), (0.3, 0.3, 0.0)]
 
 
 class TestWd:
     def test_equal_rates_at_zero(self):
         for alpha in [0.2, 0.5, 0.77, 1.0]:
             assert w_d(alpha, alpha, 0.0) == pytest.approx(alpha, abs=1e-12)
-
-    def test_peak_value_and_location(self):
-        rng = random.Random(19)
-        for _ in range(25):
-            alpha, beta = rng.uniform(0.05, 1), rng.uniform(0.05, 1)
-            d_star = phi(alpha, beta)
-            assert w_d(alpha, beta, d_star) == pytest.approx(
-                alpha + beta, abs=1e-9
-            )
-            # Nearby points are below the peak.
-            for eps in [-1e-4, 1e-4]:
-                lo, hi = feasible_distance_interval(alpha, beta)
-                d = d_star + eps
-                if lo <= d <= hi:
-                    assert w_d(alpha, beta, d) <= alpha + beta + 1e-12
 
     def test_infeasible_distance(self):
         lo, hi = feasible_distance_interval(0.4, 0.6)
@@ -77,16 +117,6 @@ class TestWd:
                     + (1 - r) * binary_entropy(d / 2 / (1 - r))
                 )
                 assert w_d(alpha, alpha, d) == pytest.approx(expected, abs=1e-10)
-
-    def test_midpoint_concavity(self):
-        rng = random.Random(29)
-        for _ in range(100):
-            alpha, beta = rng.uniform(0.05, 1), rng.uniform(0.05, 1)
-            lo, hi = feasible_distance_interval(alpha, beta)
-            d1 = rng.uniform(lo, hi)
-            d2 = rng.uniform(lo, hi)
-            mid = w_d(alpha, beta, (d1 + d2) / 2)
-            assert mid >= 0.5 * (w_d(alpha, beta, d1) + w_d(alpha, beta, d2)) - 1e-12
 
     def test_alpha_zero_rejected(self):
         with pytest.raises(ValueError):
@@ -143,22 +173,29 @@ class TestSphereExponent:
             opp = sphere_exponent(alpha, beta, rho, centers="opposite")
             assert opp.value >= same.value - 1e-9
 
-    def test_matches_objective_built_on_w_d(self):
-        # Hoisting the radii out of the objective changes no bit.
-        rng = random.Random(47)
-        for _ in range(10):
-            alpha, beta = rng.uniform(0.05, 1.0), rng.uniform(0.05, 1.0)
-            rho = rng.uniform(0.0, 0.95)
-            for centers, sign in [("same", 1.0), ("opposite", -1.0)]:
-                distance_log = math.log2((1 - rho) / (1 + rho))
-                lo, hi = feasible_distance_interval(alpha, beta)
-                d_opt, peak = golden_section_maximize(
-                    lambda d: w_d(alpha, beta, d) + sign * d * distance_log, lo, hi
-                )
+    def test_matches_mpmath(self):
+        for alpha, beta, rho in seeded_rates_rho(12, seed=47):
+            for centers in ["same", "opposite"]:
                 b = sphere_exponent(alpha, beta, rho, centers=centers)
-                assert b.d_opt == d_opt
+                value, d_opt = mp_sphere_exponent(alpha, beta, rho, centers)
+                point = (alpha, beta, rho, centers)
+                assert b.value == pytest.approx(value, abs=1e-12), point
+                assert b.d_opt == pytest.approx(d_opt, abs=1e-12), point
+
+    def test_no_grid_point_beats_the_optimum(self):
+        # E is the minimum over d, so no point of a dense d grid may give
+        # a smaller value (slack: a few ulps of the objective's roundoff).
+        grid = [i / 10000 for i in range(10001)]
+        for alpha, beta, rho in seeded_rates_rho(4, seed=48):
+            distance_log = math.log2((1 - rho) / (1 + rho))
+            # w_d's arithmetic with the two entropy inverses done once.
+            radii = exponents_module._sphere_radii(alpha, beta)
+            w = [exponents_module._w_d_from_radii(*radii, d) for d in grid]
+            for centers, sign in [("same", 1.0), ("opposite", -1.0)]:
+                value = sphere_exponent(alpha, beta, rho, centers=centers).value
+                best = max(wd + sign * d * distance_log for wd, d in zip(w, grid))
                 prefactor = 2 - math.log2(1 + sign * rho)
-                assert b.value == prefactor - peak
+                assert value <= prefactor - best + 2e-15, (alpha, beta, rho, centers)
 
     def test_two_entropy_inverses_per_call(self, monkeypatch):
         calls = []
@@ -386,20 +423,6 @@ class TestRemark3Threshold:
             assert diff(min(a_star + 0.02, 0.99)) > 0
             # Negative (morss winning) at alpha near 1.
             assert diff(0.999) < 0
-
-
-class TestSandwich:
-    def test_hct_below_sphere_below_lower_family(self):
-        rng = random.Random(59)
-        for _ in range(30):
-            alpha = rng.uniform(0.05, 0.99)
-            rho = rng.uniform(0.0, 0.95)
-            sphere = sphere_exponent(alpha, alpha, rho, centers="same").value
-            hct = hct_upper_exponent(alpha, rho).value
-            morss = morss_lower_exponent(alpha, alpha, rho).value
-            avg = avgdist_lower_exponent(alpha, alpha, rho).value
-            assert hct <= sphere + 1e-9
-            assert sphere <= min(morss, avg) + 1e-9
 
 
 class TestExponentBoundType:

@@ -227,6 +227,33 @@ class TestRectangleProb:
         q = pair_distance_profile(a, b)
         assert rectangle_prob_fraction(q, Fraction(1)) == Fraction(1, 8)
 
+    def test_full_cube_overshoot_returns_zero(self):
+        # Roundoff lifts the float sum of some full-cube pairs above 0
+        # (2.7e-15 at most for n <= 12); those must still read P = 1.
+        overshoots = 0
+        for n in range(1, 13):
+            full = CubeSet.full(n)
+            p = pair_distance_profile(full, full)
+            for rho in [0.0, 0.1, 0.3, 0.5, 0.7, 0.9, 0.99, 1 - 1e-6, 1 - 1e-12]:
+                value = rectangle_prob(p, rho)
+                assert -1e-14 <= value <= 0.0
+                overshoots += value == 0.0 and rho > 0.0
+        assert overshoots
+
+    def test_unrealizable_profile_rejected(self):
+        # 100 pairs at distance 0 between two sets of 10 points in n = 2:
+        # P = 100 ((1 + rho)/4)^2 = 225/16 at rho = 1/2.
+        p = DistanceProfile(2, (100, 0, 0), 10, 10)
+        with pytest.raises(ValueError, match="no pair of sets"):
+            rectangle_prob(p, 0.5)
+        with pytest.raises(ValueError, match="225/16"):
+            rectangle_prob_fraction(p, Fraction(1, 2))
+        # At rho = 0 the same counts give P = 100/16 on both paths.
+        with pytest.raises(ValueError):
+            rectangle_prob(p, 0.0)
+        with pytest.raises(ValueError):
+            rectangle_prob_fraction(p, 0)
+
     def test_float_rejects_rho_one(self):
         p = sphere_distance_profile(3, 1, 1)
         with pytest.raises(ValueError):

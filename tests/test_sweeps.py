@@ -22,7 +22,7 @@ from hyperrect import (
     sphere_exponent,
     thm1_expansion,
 )
-from hyperrect.sweeps import OPERATIONS, _format_cell
+from hyperrect.sweeps import MAX_GRID_POINTS, OPERATIONS, _format_cell
 
 
 class TestAxisSpec:
@@ -50,6 +50,14 @@ class TestAxisSpec:
         with pytest.raises(ValueError):
             AxisSpec("rho", 0.0, 1.0, 3, spacing="log")
 
+    @pytest.mark.parametrize("spacing", ["linear", "log"])
+    def test_over_budget_count_rejected_before_allocation(self, spacing):
+        with mock.patch.object(np, "linspace", side_effect=AssertionError), \
+                mock.patch.object(np, "geomspace", side_effect=AssertionError):
+            with pytest.raises(ValueError, match="budget"):
+                AxisSpec("x", 0.5, 1.0, 10**12, spacing)
+            AxisSpec("x", 0.5, 1.0, MAX_GRID_POINTS, spacing)
+
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     @pytest.mark.parametrize("spacing", ["linear", "log"])
     def test_non_finite_endpoint_rejected(self, bad, spacing):
@@ -61,6 +69,15 @@ class TestAxisSpec:
 
 
 class TestRunSweep:
+    def test_over_budget_spec_rejected_before_allocation(self):
+        axes = (AxisSpec("alpha", 0.1, 0.9, 10**6), AxisSpec("rho", 0.1, 0.9, 10**6))
+        with mock.patch.object(AxisSpec, "points", side_effect=AssertionError):
+            with pytest.raises(ValueError, match="10000000"):
+                SweepSpec("thm1_expansion", axes=axes)
+            # Exactly at the budget the spec is accepted (and not run).
+            axes = (AxisSpec("alpha", 0.1, 0.9, 10**4), AxisSpec("rho", 0.1, 0.9, 10**3))
+            SweepSpec("thm1_expansion", axes=axes)
+
     def test_grid_cardinality(self):
         spec = SweepSpec(
             "thm1_expansion",
@@ -298,6 +315,12 @@ class TestFigurePhiSurface:
         with pytest.raises(ValueError):
             figure_phi_surface(1)
 
+    def test_over_budget_rejected_before_allocation(self):
+        # 10**6 points per axis are within budget, 10**12 cells are not.
+        with mock.patch.object(AxisSpec, "points", side_effect=AssertionError):
+            with pytest.raises(ValueError, match="budget"):
+                figure_phi_surface(10**6)
+
 
 class TestConvergenceStudy:
     def test_gap_decreasing(self):
@@ -357,7 +380,7 @@ _PINNED_CSV = {
     'phi': 'x,y,phi\n0.2,0.3,0.08104942825894124\n0.2,0.9,0.3274719434280079\n0.8,0.3,0.27036831042204335\n0.8,0.9,0.40543536206291536\n',
     'c_function': 'lam,c\n0.0,2.0\n0.3,2.1305734051606504\n0.6,2.428980131691176\n',
     'w_d': 'd,w\n0.12,0.9271695031532532\n0.19,1.0696541360384693\n0.26,1.0905697292926504\n',
-    'sphere_exponent': 'rho,exponent,d_opt\n0.2,1.0777615879647848,0.25305907241458175\n0.8,2.395028776013201,0.2681754168517631\n',
+    'sphere_exponent': 'rho,exponent,d_opt\n0.2,1.0777615879647848,0.25305907453993803\n0.8,2.395028776013201,0.26817541716710047\n',
     'hct_upper': 'rho,exponent\n0.0,1.2\n0.5,0.7999999999999999\n1.0,0.6\n',
     'rhct_lower': 'rho,exponent\n0.0,1.2\n0.4,2.0\n0.8,6.000000000000001\n',
     'morss_lower': 'rho,exponent\n0.0,0.9\n0.4,1.4754895892494557\n0.8,4.385618083164129\n',
