@@ -3,9 +3,7 @@
 Closed-form bounds are checked by independent substitution into their
 defining formulas; the closed-form sphere exponent is checked against
 known endpoint values, an mpmath reference, a dense grid of distances and
-the near-rho=1 expansion of its argmax.  The w_d concavity and peak
-properties and the hct <= sphere <= lower-family ordering are checks of
-the `verify` exponents suite, which tests/test_verify.py runs.
+the near-rho=1 expansion of its argmax.
 """
 
 import math
@@ -94,6 +92,21 @@ class TestWd:
         for alpha in [0.2, 0.5, 0.77, 1.0]:
             assert w_d(alpha, alpha, 0.0) == pytest.approx(alpha, abs=1e-12)
 
+    def test_peak_value_and_location(self):
+        rng = random.Random(19)
+        for _ in range(25):
+            alpha, beta = rng.uniform(0.05, 1), rng.uniform(0.05, 1)
+            d_star = phi(alpha, beta)
+            assert w_d(alpha, beta, d_star) == pytest.approx(
+                alpha + beta, abs=1e-9
+            )
+            # Nearby points are below the peak.
+            for eps in [-1e-4, 1e-4]:
+                lo, hi = feasible_distance_interval(alpha, beta)
+                d = d_star + eps
+                if lo <= d <= hi:
+                    assert w_d(alpha, beta, d) <= alpha + beta + 1e-12
+
     def test_infeasible_distance(self):
         lo, hi = feasible_distance_interval(0.4, 0.6)
         assert w_d(0.4, 0.6, lo - 1e-6) == NEG_INF
@@ -117,6 +130,16 @@ class TestWd:
                     + (1 - r) * binary_entropy(d / 2 / (1 - r))
                 )
                 assert w_d(alpha, alpha, d) == pytest.approx(expected, abs=1e-10)
+
+    def test_midpoint_concavity(self):
+        rng = random.Random(29)
+        for _ in range(100):
+            alpha, beta = rng.uniform(0.05, 1), rng.uniform(0.05, 1)
+            lo, hi = feasible_distance_interval(alpha, beta)
+            d1 = rng.uniform(lo, hi)
+            d2 = rng.uniform(lo, hi)
+            mid = w_d(alpha, beta, (d1 + d2) / 2)
+            assert mid >= 0.5 * (w_d(alpha, beta, d1) + w_d(alpha, beta, d2)) - 1e-12
 
     def test_alpha_zero_rejected(self):
         with pytest.raises(ValueError):
@@ -423,6 +446,20 @@ class TestRemark3Threshold:
             assert diff(min(a_star + 0.02, 0.99)) > 0
             # Negative (morss winning) at alpha near 1.
             assert diff(0.999) < 0
+
+
+class TestSandwich:
+    def test_hct_below_sphere_below_lower_family(self):
+        rng = random.Random(59)
+        for _ in range(30):
+            alpha = rng.uniform(0.05, 0.99)
+            rho = rng.uniform(0.0, 0.95)
+            sphere = sphere_exponent(alpha, alpha, rho, centers="same").value
+            hct = hct_upper_exponent(alpha, rho).value
+            morss = morss_lower_exponent(alpha, alpha, rho).value
+            avg = avgdist_lower_exponent(alpha, alpha, rho).value
+            assert hct <= sphere + 1e-9
+            assert sphere <= min(morss, avg) + 1e-9
 
 
 class TestExponentBoundType:
