@@ -18,7 +18,6 @@ from .adder_mac import feasibility_scan
 from .exponents import compare_bounds, sphere_exponent
 from .hypercontractivity import (
     DomainViolationError,
-    ShootingRangeError,
     psi_bound,
     solve_q,
 )
@@ -137,7 +136,6 @@ def _cmd_hc(args) -> int:
                 ("residual", solution.residual),
                 ("steps", solution.steps),
                 ("evaluations", solution.evaluations),
-                ("bracket_sign_changes", solution.bracket_sign_changes),
             ],
             args.json,
         )
@@ -317,7 +315,6 @@ def main(argv=None) -> int:
         ValueError,
         SetFileError,
         DomainViolationError,
-        ShootingRangeError,
         EnumerationBudgetError,
         SweepError,
         OSError,

@@ -12,7 +12,7 @@ initial condition a so that the scalar ODE
     u'(s) = C(b (1 + e^{-u(s)})),   u(0) = a,
     b = (1 - alpha) ln 2 / (1 + e^{-a}),
 
-lands on u(t) = ln(q0 - 1).
+lands on u(t) = ln(q0 - 1).  ODE and C: Polyanskiy-Samorodnitsky (2019).
 
 Unit conventions: rates come in bits, but a, b, u and C's argument are
 all in nats (this module's internals are natural-log throughout); the
@@ -21,9 +21,12 @@ conversion constant ln 2 appears only at the module boundary.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable
+
+import numpy as np
 
 from .entropy import LN2, _check_range, binary_entropy_inv
 from .exponents import ExponentBound
@@ -32,7 +35,6 @@ from .oracle import CubeFunction, noise_operator, p_norm
 __all__ = [
     "C_DOMAIN_TOL",
     "DomainViolationError",
-    "ShootingRangeError",
     "HcSolution",
     "HcCertificate",
     "c_function",
@@ -51,12 +53,14 @@ C_DOMAIN_TOL = 1e-9
 # with it to O(lam^2) ~ 1e-12 at the seam.
 _C_SERIES_CUTOFF = 1e-6
 
-_SHOOT_BRACKET_WIDTH = 5.0
-_SHOOT_SCAN_POINTS = 9
-_SHOOT_A_TOL = 1e-12
+_SHOOT_A_TOL = 1e-14
 _RESIDUAL_LIMIT = 1e-9
 _STEP_TOL = 1e-11
 _MAX_STEPS = 1 << 20
+
+# Gauss-Legendre nodes per shot; test_hypercontractivity's mpmath
+# references hold q to 1e-12 relative with them.
+_QUAD_NODES = 48
 
 # Longest t the step-halving solve_u accepts.  Once u(t) >= a + 2t nears
 # 90, summed roundoff keeps successive passes from agreeing to _STEP_TOL:
@@ -77,11 +81,6 @@ class DomainViolationError(ValueError):
         )
         self.argument = argument
         self.t = t
-
-
-class ShootingRangeError(RuntimeError):
-    """No admissible initial condition in the search bracket; the
-    requested time lies beyond the empirically certified range."""
 
 
 def c_function(lam: float) -> float:
@@ -123,27 +122,6 @@ def _rk4(a: float, b: float, t: float, steps: int) -> float:
     return u
 
 
-def _solve_u(a: float, b: float, t: float, tol: float) -> tuple[float, int]:
-    if t == 0.0:
-        return a, 0
-    # Clamped before ceil so a huge t cannot overflow to an infinite count.
-    steps = max(4, math.ceil(min(t / 0.01, 1 << 12)))
-    prev = _rk4(a, b, t, steps)
-    total = steps
-    while math.isfinite(prev) and steps < _MAX_STEPS:
-        steps *= 2
-        cur = _rk4(a, b, t, steps)
-        total += steps
-        if abs(cur - prev) < tol:
-            return cur, total
-        prev = cur
-    if not math.isfinite(prev):
-        raise ValueError(f"integration to t={t!r} returned {prev!r} after {steps} steps")
-    raise RuntimeError(
-        f"step halving did not converge below {tol} within {_MAX_STEPS} steps"
-    )
-
-
 def solve_u(
     a: float, b: float, t: float, *, tol: float = _STEP_TOL, steps: int | None = None
 ) -> float:
@@ -152,6 +130,7 @@ def solve_u(
     Fixed-step 4th-order integration with step halving until successive
     results differ by less than ``tol``; passing ``steps`` runs a single
     fixed-step pass instead (an order-of-convergence diagnostic).
+    `solve_q` does not call it; it is the quadrature's cross-check.
     Nondecreasing in t since C >= 2 > 0; t = 0 returns a exactly.  The
     step-halving path raises ValueError for t > 30 (_MAX_SOLVE_T), where the
     default tolerance is out of reach.
@@ -168,39 +147,51 @@ def solve_u(
         return a if t == 0.0 else _rk4(a, b, t, steps)
     if t > _MAX_SOLVE_T:
         raise ValueError(f"time {t!r} exceeds {_MAX_SOLVE_T}, past which {tol} is unreachable")
-    return _solve_u(a, b, t, tol)[0]
+    if t == 0.0:
+        return a
+    # Clamped before ceil so a huge t cannot overflow to an infinite count.
+    steps = max(4, math.ceil(min(t / 0.01, 1 << 12)))
+    prev = _rk4(a, b, t, steps)
+    while math.isfinite(prev) and steps < _MAX_STEPS:
+        steps *= 2
+        cur = _rk4(a, b, t, steps)
+        if abs(cur - prev) < tol:
+            return cur
+        prev = cur
+    if not math.isfinite(prev):
+        raise ValueError(f"integration to t={t!r} returned {prev!r} after {steps} steps")
+    raise RuntimeError(
+        f"step halving did not converge below {tol} within {_MAX_STEPS} steps"
+    )
 
 
 @dataclass(frozen=True)
 class HcSolution:
     """Solved shooting state for the norm-index boundary problem.
 
-    ``q = 1 + e^a`` is the improved norm index at time t; ``residual``
-    is the terminal mismatch |u(t) - ln(q0 - 1)|; ``steps`` counts RK4
-    steps across the whole solve; ``evaluations`` counts its ODE solves,
-    the scan points plus the root iterations, the last of which gives the
-    residual; ``bracket_sign_changes`` reports how many roots the coarse
-    scan saw (1 means locally unique).
+    ``q = 1 + e^a`` is the improved norm index at time t, and ``b`` is
+    derived from a and alpha by the drive constraint; ``residual``
+    bounds the terminal mismatch |u(t) - ln(q0 - 1)| by (2/ln 2)|t(a) - t|,
+    since u' <= 2/ln 2; ``evaluations`` counts the shots, each one
+    quadrature of the time integral t(a) (the two bracket ends plus the
+    root iterations, the last of which gives the residual); ``steps``
+    counts the C evaluations across them.
     """
 
     t: float
     alpha: float
     q0: float
     a: float
-    b: float
     q: float
     residual: float
     steps: int
     evaluations: int
-    bracket_sign_changes: int
+
+    @property
+    def b(self) -> float:
+        return (1.0 - self.alpha) * LN2 / (1.0 + math.exp(-self.a))
 
     def __post_init__(self) -> None:
-        constraint = self.b * (1.0 + math.exp(-self.a))
-        if abs(constraint - (1.0 - self.alpha) * LN2) > 1e-10:
-            raise ValueError(
-                f"drive constraint violated: b(1+e^-a) = {constraint!r}, "
-                f"expected {(1.0 - self.alpha) * LN2!r}"
-            )
         if self.residual > _RESIDUAL_LIMIT:
             raise ValueError(
                 f"terminal residual {self.residual!r} exceeds {_RESIDUAL_LIMIT}"
@@ -217,8 +208,9 @@ def _brent_root(
     Brent's method (Brent 1973, ch. 4, the zeroin algorithm): inverse
     quadratic or secant steps, replaced by a bisection step whenever they
     would leave the bracket or shrink it too slowly.  Stops once the
-    bracket around the best point b is narrower than ``tol``; returns
-    (b, f(b), iterations).
+    bracket around the best point b is narrower than ``tol`` plus
+    4 macheps |b|, so a ``tol`` below the float spacing at b still ends;
+    returns (b, f(b), iterations).
     """
     c, fc = a, fa
     d = e = b - a
@@ -230,7 +222,7 @@ def _brent_root(
         if abs(fc) < abs(fb):
             a, b, c = b, c, b
             fa, fb, fc = fb, fc, fb
-        tol1 = 0.5 * tol
+        tol1 = 2.0 * math.ulp(1.0) * abs(b) + 0.5 * tol
         m = 0.5 * (c - b)
         if abs(m) <= tol1 or fb == 0.0:
             return b, fb, iterations
@@ -257,91 +249,98 @@ def _brent_root(
         iterations += 1
 
 
+@functools.cache
+def _quad_rule() -> tuple[tuple[float, float], ...]:
+    """Gauss-Legendre nodes and weights on [-1, 1] for one shot's time
+    integral, built on first use: importing the package skips numpy's
+    polynomial module and the eigensolve behind it."""
+    nodes, weights = np.polynomial.legendre.leggauss(_QUAD_NODES)
+    return tuple(zip(nodes.tolist(), weights.tolist()))
+
+
+def _shot_time(alpha: float, a: float, target: float) -> float:
+    """t(a) = integral from a to target of du / C(b(1 + e^-u)), by the
+    Gauss-Legendre rule in s, where u = u* + R s^2 (see `solve_q`)."""
+    b = (1.0 - alpha) * LN2 / (1.0 + math.exp(-a))
+    # u* = ln(1 - alpha) - ln(alpha + e^-a) and a - u*, free of cancellation.
+    singular = math.log1p(-alpha) - math.log(alpha + math.exp(-a))
+    span = target - singular
+    start = math.sqrt((math.log1p(alpha * math.exp(a)) - math.log1p(-alpha)) / span)
+    mid, half = 0.5 * (1.0 + start), 0.5 * (1.0 - start)
+    total = 0.0
+    for x, w in _quad_rule():
+        s = mid + half * x
+        u = singular + span * s * s
+        total += w * s / c_function(b * (1.0 + math.exp(-u)))
+    return 2.0 * span * half * total
+
+
 def solve_q(alpha: float, q0: float, t: float) -> HcSolution:
     """Shooting solve: the a with b = (1-alpha) ln 2 / (1 + e^-a) such
-    that u(t) from `solve_u` equals ln(q0 - 1).
+    that the drive ODE started at u(0) = a reaches ln(q0 - 1) at time t.
 
-    A coarse sign-change scan of a over [ln(q0-1) - 5, ln(q0-1)], then
-    Brent's method on the last bracket it found; no sign change means t
-    is beyond the certified existence range and raises
-    :class:`ShootingRangeError` rather than extrapolating.  Any t > 2.5
-    raises it before the scan, since C >= 2 rules out a sign change there.
-    t = 0 returns q = q0 exactly; q(t) decreases in t on the solved range.
+    The ODE u' = C(lam(u)), lam(u) = b(1 + e^-u), is scalar and
+    autonomous with C >= 2 > 0, so it separates: the shot from a reaches
+    U = ln(q0 - 1) at time
 
+        t(a) = integral_a^U du / C(b(1 + e^-u)),
+
+    and the solve is the root of t(a) = t.  Along the path lam falls from
+    (1 - alpha) ln 2 at u = a to b q0 / (q0 - 1) > b at u = U, so it stays
+    in (b, (1 - alpha) ln 2], inside C's domain, for every t.  Since
+    2 <= C <= 2/ln 2, (U - a) ln 2 / 2 <= t(a) <= (U - a) / 2: the root
+    lies in [U - 2t/ln 2, U - 2t] for every t > 0, and it is unique since
+    t(a) decreases in a.  Brent's method runs on that bracket.
+
+    Near lam = ln 2, C departs from 2/ln 2 like -sqrt(ln 2 - lam), up to
+    a logarithmic factor.  lam reaches ln 2 at
+    u* = -ln(ln 2/b - 1) = ln(1 - alpha) - ln(alpha + e^-a) < a, and
+    ln 2 - lam grows linearly in u - u* there.  The substitution
+    u = u* + R s^2, R = U - u*, makes it quadratic in s, so the square
+    root turns linear and the integrand 2 R s / C has no branch point on
+    [s_a, 1], s_a^2 = (a - u*)/R.  Each shot is one fixed 48-node
+    Gauss-Legendre rule; against 30-digit mpmath references q agrees to
+    1e-12 relative.  `solve_u` (RK4) stays as the independent cross-check.
+
+    t = 0 returns q = q0 exactly; q(t) decreases in t.  A t with
+    ln(q0 - 1) - 2t <= -53 ln 2 raises ValueError: q would round to 1.
     alpha = 0 is rejected: the drive would start exactly at the ln 2
-    endpoint of C's domain, where C has a square-root singularity that
-    ruins the integrator's convergence order.  Callers certifying a
-    singleton should pass any positive rate covering it (1/n does).
-    NaN and infinite arguments are rejected with ValueError.
+    endpoint of C's domain.  Callers certifying a singleton should pass
+    any positive rate covering it (1/n does).  NaN and infinite arguments
+    are rejected with ValueError.
     """
     _check_range("rate", alpha, 0.0, 1.0, lo_open=True, hi_open=True)
     _check_range("norm index", q0, 1.0, math.inf, lo_open=True, hi_open=True)
     _check_range("time", t, 0.0, math.inf, hi_open=True)
     target = math.log(q0 - 1.0)
-    drive_level = (1.0 - alpha) * LN2
-    # C >= 2 gives u(t) >= a + 2t, so past this t every scan point from
-    # target - width up overshoots the target: the scan could find no
-    # sign change, and for a huge t it would step-halve toward _MAX_STEPS.
-    if t > _SHOOT_BRACKET_WIDTH / 2.0:
-        raise ShootingRangeError(
-            f"no a in [{target - _SHOOT_BRACKET_WIDTH!r}, {target!r}] can reach "
-            f"the target at t={t!r} > {_SHOOT_BRACKET_WIDTH / 2.0!r}; "
-            "the time lies beyond the certified existence range"
+    # q = 1 + e^a rounds to 1 once e^a <= 2^-53 (half an ulp of 1; the tie
+    # rounds to even, down).  C > 2 on every drive path gives
+    # a < ln(q0 - 1) - 2t, so ln(q0 - 1) - 2t <= -53 ln 2 means q = 1.0.
+    if target - 2.0 * t <= -53.0 * LN2:
+        raise ValueError(
+            f"at t={t!r} the norm index 1 + e^a < 1 + (q0 - 1) e^(-2t) "
+            "rounds to 1 in double precision"
         )
 
     if t == 0.0:
-        return HcSolution(
-            t=0.0,
-            alpha=alpha,
-            q0=q0,
-            a=target,
-            b=drive_level / (1.0 + math.exp(-target)),
-            q=q0,
-            residual=0.0,
-            steps=0,
-            evaluations=0,
-            bracket_sign_changes=1,
-        )
-
-    steps_total = 0
+        return HcSolution(t=0.0, alpha=alpha, q0=q0, a=target, q=q0, residual=0.0,
+                          steps=0, evaluations=0)
 
     def miss(a: float) -> float:
-        nonlocal steps_total
-        b = drive_level / (1.0 + math.exp(-a))
-        u_end, used = _solve_u(a, b, t, _STEP_TOL)
-        steps_total += used
-        return u_end - target
+        return _shot_time(alpha, a, target) - t
 
-    scan = [
-        target - _SHOOT_BRACKET_WIDTH * (1.0 - k / (_SHOOT_SCAN_POINTS - 1))
-        for k in range(_SHOOT_SCAN_POINTS)
-    ]
-    values = [miss(a) for a in scan]
-    brackets = [
-        k
-        for k in range(len(scan) - 1)
-        if (values[k] <= 0.0) != (values[k + 1] <= 0.0)
-    ]
-    if not brackets:
-        raise ShootingRangeError(
-            f"no sign change for a in [{scan[0]!r}, {scan[-1]!r}] at t={t!r}; "
-            "the time lies beyond the certified existence range"
-        )
-    k = brackets[-1]
-    root, f_root, iterations = _brent_root(
-        miss, scan[k], scan[k + 1], values[k], values[k + 1], _SHOOT_A_TOL
-    )
+    lo, hi = target - 2.0 * t / LN2, target - 2.0 * t
+    root, f_root, iterations = _brent_root(miss, lo, hi, miss(lo), miss(hi), _SHOOT_A_TOL)
+    shots = 2 + iterations
     return HcSolution(
         t=t,
         alpha=alpha,
         q0=q0,
         a=root,
-        b=drive_level / (1.0 + math.exp(-root)),
         q=1.0 + math.exp(root),
-        residual=abs(f_root),
-        steps=steps_total,
-        evaluations=len(scan) + iterations,
-        bracket_sign_changes=len(brackets),
+        residual=abs(f_root) * 2.0 / LN2,
+        steps=shots * _QUAD_NODES,
+        evaluations=shots,
     )
 
 
@@ -353,21 +352,17 @@ def psi_bound(alpha: float, rho: float, split: float = 0.5) -> ExponentBound:
     Cauchy-Schwarz step), giving psi = 2 (1 - alpha) / q(t) with
     t = -ln(rho) / 2.  ``split`` unbalances the factorization
     experimentally (t1 = split * (-ln rho), t2 the rest); the default is
-    the symmetric split.  rho = 1 gives (1 - alpha) exactly.  Propagates
-    :class:`ShootingRangeError` when rho is too far from 1.
+    the symmetric split.  rho = 1 gives (1 - alpha) exactly; every
+    rho > 0 solves, until q(t) rounds to 1 (ValueError from `solve_q`,
+    near rho = 1e-16 for the symmetric split).
     """
     _check_range("rate", alpha, 0.0, 1.0, lo_open=True, hi_open=True)
     _check_range("correlation", rho, 0.0, 1.0, lo_open=True)
     _check_range("split", split, 0.0, 1.0, lo_open=True, hi_open=True)
     horizon = -math.log(rho)
-    if split == 0.5:
-        q = solve_q(alpha, 2.0, 0.5 * horizon).q
-        value = 2.0 * (1.0 - alpha) / q
-    else:
-        first = solve_q(alpha, 2.0, split * horizon).q
-        second = solve_q(alpha, 2.0, (1.0 - split) * horizon).q
-        value = (1.0 - alpha) / first + (1.0 - alpha) / second
-    return ExponentBound(value, "psi_upper")
+    first = solve_q(alpha, 2.0, split * horizon).q
+    second = first if split == 0.5 else solve_q(alpha, 2.0, (1.0 - split) * horizon).q
+    return ExponentBound((1.0 - alpha) / first + (1.0 - alpha) / second, "psi_upper")
 
 
 @dataclass(frozen=True)

@@ -159,7 +159,8 @@ class CubeSet:
 class DistanceProfile:
     """Ordered-pair distance counts for a set pair: counts[k] = #{(a,b) : d(a,b)=k}.
 
-    Counts are exact integers of length n+1 and must sum to |A| * |B|.
+    Counts are exact integers of length n+1 and must sum to |A| * |B|;
+    each set size is at most 2^n.
     """
 
     n: int
@@ -178,8 +179,8 @@ class DistanceProfile:
             )
         if any(c < 0 for c in counts):
             raise ValueError("negative count")
-        if self.size_a < 1 or self.size_b < 1:
-            raise ValueError("set sizes must be >= 1")
+        if not (1 <= self.size_a <= 1 << self.n and 1 <= self.size_b <= 1 << self.n):
+            raise ValueError(f"set sizes {self.size_a}, {self.size_b} outside [1, 2^n = {1 << self.n}]")
         if sum(counts) != self.size_a * self.size_b:
             raise ValueError(
                 f"counts sum to {sum(counts)}, expected |A||B| = "

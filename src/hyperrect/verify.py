@@ -289,6 +289,11 @@ def suite_hc(seed: int = 0) -> list[CheckResult]:
     out.record("integrator_fourth_order", 8.0 <= ratio,
                f"error ratio per halving = {ratio:.1f} (expect ~16)")
 
+    # RK4 from the solved initial condition must land on ln(q0 - 1).
+    shots = [hc.solve_q(*point) for point in ((0.5, 2.0, 0.1), (0.05, 8.0, 0.5), (0.9, 1.5, 2.0))]
+    miss = max(abs(hc.solve_u(s.a, s.b, s.t) - math.log(s.q0 - 1.0)) for s in shots)
+    out.record("shooting_matches_rk4", miss <= 1e-9, f"max |u(t) - ln(q0-1)| = {miss:.2e} over 3 shots")
+
     sol0 = hc.solve_q(0.5, 2.0, 0.0)
     out.record("shooting_identity_at_zero",
                sol0.q == 2.0 and sol0.residual == 0.0, "t=0 returns q0")

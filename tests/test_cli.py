@@ -173,8 +173,8 @@ class TestOracleCommand:
     @pytest.mark.parametrize("exact", [[], ["--exact"]])
     def test_unrealizable_profile_exit_2(self, capsys, tmp_path, monkeypatch, exact):
         # Set files always give realizable profiles, so substitute one
-        # with P = 225/16 at rho = 1/2.
-        bogus = oracle_module.DistanceProfile(2, (100, 0, 0), 10, 10)
+        # with P = 9/4 at rho = 1/2.
+        bogus = oracle_module.DistanceProfile(2, (16, 0, 0), 4, 4)
         monkeypatch.setattr(cli_module, "pair_distance_profile", lambda a, b: bogus)
         a = tmp_path / "a.set"
         a.write_text("n=2\n00\n")
@@ -255,6 +255,8 @@ class TestHcCommand:
         assert payload["q"] == sol.q
         assert payload["residual"] <= 1e-9
         assert payload["evaluations"] == sol.evaluations
+        assert payload["steps"] == sol.steps
+        assert "bracket_sign_changes" not in payload
 
     def test_psi_at_rho(self, capsys):
         code, out, _ = run_cli(
@@ -276,9 +278,17 @@ class TestHcCommand:
         assert code == 2
 
     def test_out_of_range_exit_2(self, capsys):
-        code, _, err = run_cli(capsys, "hc", "--alpha", "0.5", "--t", "5.0")
+        # Past t = 53 ln2 / 2 (q0 = 2) the norm index rounds to 1.
+        code, _, err = run_cli(capsys, "hc", "--alpha", "0.5", "--t", "20")
         assert code == 2
-        assert "error:" in err
+        assert "rounds to 1" in err
+
+    def test_long_time_exit_0(self, capsys):
+        # The old fixed scan refused every t > 2.5.
+        code, out, _ = run_cli(capsys, "hc", "--alpha", "0.5", "--t", "5", "--json")
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["q"] == solve_q(0.5, 2.0, 5.0).q
 
     def test_huge_t_exit_2(self, capsys):
         code, _, err = run_cli(

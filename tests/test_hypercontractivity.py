@@ -11,6 +11,7 @@ import math
 import random
 import time
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -18,10 +19,10 @@ import hyperrect.hypercontractivity as hc_module
 from hyperrect import (
     CubeSet,
     DomainViolationError,
-    ShootingRangeError,
     binary_entropy,
     binary_entropy_inv,
     c_function,
+    hct_upper_exponent,
     psi_bound,
     solve_q,
     solve_u,
@@ -34,9 +35,10 @@ LN2 = math.log(2)
 
 
 def bisection_q(alpha, q0, t):
-    """Independent oracle for q(t): the same 9-point sign-change scan of
-    a over [ln(q0-1) - 5, ln(q0-1)], then plain bisection on the last
-    bracket down to width 1e-12."""
+    """Independent RK4 oracle for q(t), valid for t <= 2.5: a 9-point
+    sign-change scan of a over [ln(q0-1) - 5, ln(q0-1)] through
+    `solve_u`, then plain bisection on the last bracket down to width
+    1e-12."""
     target = math.log(q0 - 1)
     level = (1 - alpha) * LN2
 
@@ -55,6 +57,44 @@ def bisection_q(alpha, q0, t):
         else:
             hi = mid
     return 1 + math.exp(0.5 * (lo + hi))
+
+
+def mpmath_q(alpha, q0, t, a_start):
+    """32-digit q(t), independent of the float quadrature.
+
+    With lam = ln2 (1 - h(y)) (C's own parametrization), du = ln((1-y)/y)
+    dy / (lam - b) and 1/C = lam / (2 - 4 sqrt(y(1-y))), so the time to
+    reach ln(q0-1) is an elementary integral over y from h^-1(alpha) to
+    the yT with lam(yT) = b q0/(q0-1).  mpmath's tanh-sinh rule integrates
+    it and its secant method solves t(a) = t, started at ``a_start``.
+    """
+    with mpmath.workdps(32):
+        alpha, q0, t = mpmath.mpf(alpha), mpmath.mpf(q0), mpmath.mpf(t)
+        ln2 = mpmath.log(2)
+
+        def h(y):
+            return -(y * mpmath.log(y) + (1 - y) * mpmath.log(1 - y)) / ln2
+
+        def h_inv(level):
+            start = binary_entropy_inv(float(level))
+            return mpmath.findroot(lambda y: h(y) - level, mpmath.mpf(start))
+
+        y0 = h_inv(alpha)
+
+        def time_to_target(a):
+            b = (1 - alpha) * ln2 / (1 + mpmath.exp(-a))
+            y_end = h_inv(1 - b * q0 / ((q0 - 1) * ln2))
+
+            def integrand(y):
+                lam = ln2 * (1 - h(y))
+                return (mpmath.log((1 - y) / y) * lam
+                        / ((lam - b) * (2 - 4 * mpmath.sqrt(y * (1 - y)))))
+
+            return mpmath.quad(integrand, [y0, y_end])
+
+        a_start = mpmath.mpf(a_start)
+        root = mpmath.findroot(lambda a: time_to_target(a) - t, (a_start, a_start - 1e-9))
+        return 1 + mpmath.exp(root)
 
 
 def lam_at(y):
@@ -264,18 +304,23 @@ class TestSolveQ:
         assert max(ratios) <= 4 * min(ratios)
 
     def test_single_root_bracket(self):
-        sol = solve_q(0.5, 2.0, 0.05)
-        assert sol.bracket_sign_changes == 1
+        # 2 <= C <= 2/ln2 puts the one root in [U - 2t/ln2, U - 2t].
+        for alpha, q0, t in [(0.5, 2.0, 0.05), (0.1, 100.0, 3.45), (0.9, 1.5, 10.0)]:
+            sol = solve_q(alpha, q0, t)
+            target = math.log(q0 - 1)
+            assert target - 2 * t / LN2 <= sol.a <= target - 2 * t
 
     def test_out_of_range_reported(self):
-        with pytest.raises(ShootingRangeError):
-            solve_q(0.5, 2.0, 5.0)
+        # Past ln(q0-1) - 2t = -53 ln2 the norm index rounds to 1.
+        horizon = 53 * LN2 / 2
+        with pytest.raises(ValueError, match="rounds to 1"):
+            solve_q(0.5, 2.0, horizon)
+        assert solve_q(0.5, 2.0, horizon - 0.5).q > 1.0
 
-    def test_huge_t_refused_before_the_scan(self):
-        # C >= 2 rules out a root for t > 2.5, so no ODE is integrated.
+    def test_huge_t_refused_fast(self):
         start = time.perf_counter()
         for t in (1e3, 1e307):
-            with pytest.raises(ShootingRangeError):
+            with pytest.raises(ValueError):
                 solve_q(0.5, 2.0, t)
         assert time.perf_counter() - start < 0.1
 
@@ -305,14 +350,51 @@ class TestSolveQ:
             assert solve_q(alpha, q0, t).q == pytest.approx(bisection_q(alpha, q0, t), abs=1e-10)
 
     def test_root_finder_step_count(self):
-        # Bisection on a took 1780 RK4 steps here; a slide back fails this.
-        assert solve_q(0.5, 2.0, 0.1).steps <= 800
+        # steps counts C evaluations, 48 per shot: 288 here, where RK4
+        # shooting needed 2680.
+        assert solve_q(0.5, 2.0, 0.1).steps <= 400
 
-    def test_evaluations_count_the_ode_solves(self):
+    def test_evaluations_count_the_ode_solves(self, monkeypatch):
+        calls = []
+        real_c = hc_module.c_function
+
+        def counted(lam):
+            calls.append(lam)
+            return real_c(lam)
+
+        monkeypatch.setattr(hc_module, "c_function", counted)
         sol = solve_q(0.5, 2.0, 0.1)
-        # Nine scan points, then at least one root iteration.
-        assert 9 < sol.evaluations < 9 + 40
+        # One quadrature per shot: the two bracket ends, then at least
+        # one root iteration.
+        assert 2 < sol.evaluations < 2 + 40
+        assert sol.steps == len(calls) == sol.evaluations * hc_module._QUAD_NODES
         assert solve_q(0.5, 2.0, 0.0).evaluations == 0
+
+    @pytest.mark.parametrize(
+        "alpha, q0, t",
+        [(1e-9, 2.0, 0.05), (1e-5, 2.0, 0.05), (0.5, 2.0, 1e-5), (0.5, 2.0, 0.1),
+         (0.3, 100.0, 0.2), (0.5, 2.0, -math.log(1e-3) / 2), (0.1, 100.0, 3.45),
+         (0.9999, 2.0, 0.5), (0.02, 8.0, 2.0), (0.5, 2.0, 5.0)],
+    )
+    def test_matches_mpmath(self, alpha, q0, t):
+        # The old fixed scan refused the three points with t > 2.5.
+        sol = solve_q(alpha, q0, t)
+        assert sol.q == pytest.approx(float(mpmath_q(alpha, q0, t, sol.a)), rel=1e-12)
+
+    def test_never_integrates_rk4(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("RK4 on the shooting path")
+
+        monkeypatch.setattr(hc_module, "_rk4", refuse)
+        solve_q(0.5, 2.0, 0.1)
+        psi_bound(0.5, 0.8)
+        psi_bound(0.5, 0.8, split=0.3)
+
+    def test_small_rate_is_fast(self):
+        # Step halving near C's singular endpoint used to take 11.6 s here.
+        start = time.perf_counter()
+        solve_q(1e-5, 2.0, 0.05)
+        assert time.perf_counter() - start < 0.1
 
 
 class TestPsiBound:
@@ -369,8 +451,20 @@ class TestPsiBound:
             )
 
     def test_propagates_out_of_range(self):
-        with pytest.raises(ShootingRangeError):
-            psi_bound(0.5, 1e-4)
+        # rho = e^-2t with t past the horizon where q(t) rounds to 1.
+        with pytest.raises(ValueError, match="rounds to 1"):
+            psi_bound(0.5, 1e-17)
+
+    def test_small_rho_solves(self):
+        # The old fixed scan refused every rho < e^-5.
+        alpha, rho = 0.5, 1e-4
+        psi = psi_bound(alpha, rho).value
+        sol = solve_q(alpha, 2.0, -math.log(rho) / 2)
+        assert psi == pytest.approx(
+            float(2 * (1 - alpha) / mpmath_q(alpha, 2.0, sol.t, sol.a)), rel=1e-12
+        )
+        assert hct_upper_exponent(alpha, rho).value <= psi
+        assert psi <= sphere_exponent(alpha, alpha, rho).value
 
 
 class TestVerifyHcInequality:

@@ -241,18 +241,25 @@ class TestRectangleProb:
         assert overshoots
 
     def test_unrealizable_profile_rejected(self):
-        # 100 pairs at distance 0 between two sets of 10 points in n = 2:
-        # P = 100 ((1 + rho)/4)^2 = 225/16 at rho = 1/2.
-        p = DistanceProfile(2, (100, 0, 0), 10, 10)
+        # All 16 pairs of two 4-point sets in n = 2 at distance 0:
+        # P = 16 ((1 + rho)/4)^2 = 9/4 at rho = 1/2.
+        p = DistanceProfile(2, (16, 0, 0), 4, 4)
         with pytest.raises(ValueError, match="no pair of sets"):
             rectangle_prob(p, 0.5)
-        with pytest.raises(ValueError, match="225/16"):
+        with pytest.raises(ValueError, match="9/4"):
             rectangle_prob_fraction(p, Fraction(1, 2))
-        # At rho = 0 the same counts give P = 100/16 on both paths.
+        # At rho = 0, P = |A||B| / 4^n, which sizes up to 2^n keep <= 1.
+        assert rectangle_prob(p, 0.0) == 0.0
+        assert rectangle_prob_fraction(p, 0) == 1
+
+    def test_sizes_above_the_cube_rejected(self):
+        # No two sets of 10 points exist in {0,1}^2; this profile used to
+        # give log2 P = -4 at rho = 0.9.
+        with pytest.raises(ValueError, match="outside \\[1, 2\\^n = 4\\]"):
+            DistanceProfile(2, (0, 0, 100), 10, 10)
         with pytest.raises(ValueError):
-            rectangle_prob(p, 0.0)
-        with pytest.raises(ValueError):
-            rectangle_prob_fraction(p, 0)
+            DistanceProfile(2, (0, 0, 20), 4, 5)
+        assert DistanceProfile(2, (4, 8, 4), 4, 4).size_a == 4
 
     def test_float_rejects_rho_one(self):
         p = sphere_distance_profile(3, 1, 1)
