@@ -2,7 +2,8 @@
 
 Every subcommand is a thin wrapper over one library call; no numerical
 logic lives here.  Exit codes: 0 success, 1 property failure (verify),
-2 usage or domain error.
+2 usage or domain error: a ValueError, the package's one bad-input
+error, or an OSError.  Any other exception is a bug and keeps its traceback.
 """
 
 from __future__ import annotations
@@ -16,14 +17,8 @@ from fractions import Fraction
 from . import __version__
 from .adder_mac import feasibility_scan
 from .exponents import compare_bounds, sphere_exponent
-from .hypercontractivity import (
-    DomainViolationError,
-    psi_bound,
-    solve_q,
-)
+from .hypercontractivity import psi_bound, solve_q
 from .oracle import (
-    EnumerationBudgetError,
-    SetFileError,
     _log2_fraction,
     pair_distance_profile,
     read_set_file,
@@ -31,7 +26,7 @@ from .oracle import (
     rectangle_prob_fraction,
 )
 from .sweeps import (
-    AxisSpec, ResultTable, SweepError, SweepSpec, _check_grid_budget, figure_phi_surface, run_sweep,
+    AxisSpec, ResultTable, SweepSpec, _check_grid_budget, figure_phi_surface, run_sweep,
 )
 from .verify import SUITES, run_suites
 
@@ -63,6 +58,14 @@ def _grid(text: str) -> list[float]:
         return [start]
     step = (stop - start) / (count - 1)
     return [start + k * step for k in range(count)]
+
+
+def _fraction(text: str) -> Fraction:
+    """A correlation such as 0.5 or 1/3; a zero denominator is bad input."""
+    try:
+        return Fraction(text)
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator in {text!r}") from None
 
 
 def _emit(table: ResultTable, out_path: str | None) -> None:
@@ -101,6 +104,7 @@ def _cmd_bound(args) -> int:
 
 
 def _cmd_oracle(args) -> int:
+    rho = _fraction(args.rho)
     set_a = read_set_file(args.set_a)
     set_b = read_set_file(args.set_b)
     for label, s in (("A", set_a), ("B", set_b)):
@@ -111,11 +115,11 @@ def _cmd_oracle(args) -> int:
     profile = pair_distance_profile(set_a, set_b)
     pairs = []
     if args.exact:
-        exact = rectangle_prob_fraction(profile, Fraction(args.rho))
+        exact = rectangle_prob_fraction(profile, rho)
         log2_p = _log2_fraction(exact)
         pairs.append(("p_exact", f"{exact.numerator}/{exact.denominator}"))
     else:
-        log2_p = rectangle_prob(profile, float(Fraction(args.rho)))
+        log2_p = rectangle_prob(profile, float(rho))
     pairs.insert(0, ("log2_p", log2_p))
     pairs.append(("exponent", -log2_p / args.n))
     _print_pairs(pairs, args.json)
@@ -140,7 +144,7 @@ def _cmd_hc(args) -> int:
             args.json,
         )
     else:
-        bound = psi_bound(args.alpha, args.rho, args.split)
+        bound = psi_bound(args.alpha, args.rho)
         _print_pairs(
             [("psi", bound.value), ("kind", bound.kind), ("direction", bound.direction)],
             args.json,
@@ -272,7 +276,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--q0", type=float, default=2.0)
     p.add_argument("--t", type=float, default=None)
     p.add_argument("--rho", type=float, default=None)
-    p.add_argument("--split", type=float, default=0.5)
     p.add_argument("--json", action="store_true")
     p.set_defaults(handler=_cmd_hc)
 
@@ -311,15 +314,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.handler(args)
-    except (
-        ValueError,
-        SetFileError,
-        DomainViolationError,
-        EnumerationBudgetError,
-        SweepError,
-        OSError,
-        ZeroDivisionError,
-    ) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return _USAGE_ERROR
 

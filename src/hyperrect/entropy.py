@@ -156,19 +156,15 @@ def phi(x: float, y: float) -> float:
     return star(binary_entropy_inv(x), binary_entropy_inv(y))
 
 
-def log_binomial(n: int, k: int, strict: bool = True) -> float:
-    """log2 of C(n, k).
+def log_binomial(n: int, k: int) -> float:
+    """log2 of C(n, k); out-of-range k raises ValueError.
 
-    Out-of-range k raises ValueError when ``strict``; otherwise it returns
-    ``NEG_INF`` so vanishing terms drop out of log-domain sums.  Small n
-    goes through exact integer arithmetic; large n through lgamma.
+    Small n goes through exact integer arithmetic; large n through lgamma.
     """
     if n < 0:
         raise ValueError(f"n must be nonnegative, got {n!r}")
     if k < 0 or k > n:
-        if strict:
-            raise ValueError(f"k={k!r} outside [0, {n}]")
-        return NEG_INF
+        raise ValueError(f"k={k!r} outside [0, {n}]")
     if n <= _EXACT_COMB_LIMIT:
         return math.log2(math.comb(n, k))
     return (

@@ -122,18 +122,16 @@ def _rk4(a: float, b: float, t: float, steps: int) -> float:
     return u
 
 
-def solve_u(
-    a: float, b: float, t: float, *, tol: float = _STEP_TOL, steps: int | None = None
-) -> float:
+def solve_u(a: float, b: float, t: float, *, steps: int | None = None) -> float:
     """u(t) for the drive ODE u' = C(b(1 + e^-u)), u(0) = a.
 
     Fixed-step 4th-order integration with step halving until successive
-    results differ by less than ``tol``; passing ``steps`` runs a single
-    fixed-step pass instead (an order-of-convergence diagnostic).
+    results differ by less than _STEP_TOL (1e-11); passing ``steps`` runs
+    a single fixed-step pass instead (an order-of-convergence diagnostic).
     `solve_q` does not call it; it is the quadrature's cross-check.
     Nondecreasing in t since C >= 2 > 0; t = 0 returns a exactly.  The
-    step-halving path raises ValueError for t > 30 (_MAX_SOLVE_T), where the
-    default tolerance is out of reach.
+    step-halving path raises ValueError for t > 30 (_MAX_SOLVE_T), where that
+    tolerance is out of reach.
     """
     _check_range("time", t, 0.0, math.inf, hi_open=True)
     _check_range("a", a, -math.inf, math.inf, lo_open=True, hi_open=True)
@@ -146,7 +144,9 @@ def solve_u(
             raise ValueError(f"steps must be >= 1, got {steps!r}")
         return a if t == 0.0 else _rk4(a, b, t, steps)
     if t > _MAX_SOLVE_T:
-        raise ValueError(f"time {t!r} exceeds {_MAX_SOLVE_T}, past which {tol} is unreachable")
+        raise ValueError(
+            f"time {t!r} exceeds {_MAX_SOLVE_T}, past which {_STEP_TOL} is unreachable"
+        )
     if t == 0.0:
         return a
     # Clamped before ceil so a huge t cannot overflow to an infinite count.
@@ -155,13 +155,13 @@ def solve_u(
     while math.isfinite(prev) and steps < _MAX_STEPS:
         steps *= 2
         cur = _rk4(a, b, t, steps)
-        if abs(cur - prev) < tol:
+        if abs(cur - prev) < _STEP_TOL:
             return cur
         prev = cur
     if not math.isfinite(prev):
         raise ValueError(f"integration to t={t!r} returned {prev!r} after {steps} steps")
     raise RuntimeError(
-        f"step halving did not converge below {tol} within {_MAX_STEPS} steps"
+        f"step halving did not converge below {_STEP_TOL} within {_MAX_STEPS} steps"
     )
 
 
@@ -175,7 +175,7 @@ class HcSolution:
     since u' <= 2/ln 2; ``evaluations`` counts the shots, each one
     quadrature of the time integral t(a) (the two bracket ends plus the
     root iterations, the last of which gives the residual); ``steps``
-    counts the C evaluations across them.
+    counts the C evaluations across them, _QUAD_NODES per shot.
     """
 
     t: float
@@ -184,12 +184,15 @@ class HcSolution:
     a: float
     q: float
     residual: float
-    steps: int
     evaluations: int
 
     @property
     def b(self) -> float:
         return (1.0 - self.alpha) * LN2 / (1.0 + math.exp(-self.a))
+
+    @property
+    def steps(self) -> int:
+        return self.evaluations * _QUAD_NODES
 
     def __post_init__(self) -> None:
         if self.residual > _RESIDUAL_LIMIT:
@@ -201,15 +204,15 @@ class HcSolution:
 
 
 def _brent_root(
-    f: Callable[[float], float], a: float, b: float, fa: float, fb: float, tol: float
+    f: Callable[[float], float], a: float, b: float, fa: float, fb: float
 ) -> tuple[float, float, int]:
     """Root of f in [a, b], where fa = f(a) and fb = f(b) differ in sign.
 
     Brent's method (Brent 1973, ch. 4, the zeroin algorithm): inverse
     quadratic or secant steps, replaced by a bisection step whenever they
     would leave the bracket or shrink it too slowly.  Stops once the
-    bracket around the best point b is narrower than ``tol`` plus
-    4 macheps |b|, so a ``tol`` below the float spacing at b still ends;
+    bracket around the best point b is narrower than _SHOOT_A_TOL plus
+    4 macheps |b|, so a tolerance below the float spacing at b still ends;
     returns (b, f(b), iterations).
     """
     c, fc = a, fa
@@ -222,7 +225,7 @@ def _brent_root(
         if abs(fc) < abs(fb):
             a, b, c = b, c, b
             fa, fb, fc = fb, fc, fb
-        tol1 = 2.0 * math.ulp(1.0) * abs(b) + 0.5 * tol
+        tol1 = 2.0 * math.ulp(1.0) * abs(b) + 0.5 * _SHOOT_A_TOL
         m = 0.5 * (c - b)
         if abs(m) <= tol1 or fb == 0.0:
             return b, fb, iterations
@@ -324,13 +327,13 @@ def solve_q(alpha: float, q0: float, t: float) -> HcSolution:
 
     if t == 0.0:
         return HcSolution(t=0.0, alpha=alpha, q0=q0, a=target, q=q0, residual=0.0,
-                          steps=0, evaluations=0)
+                          evaluations=0)
 
     def miss(a: float) -> float:
         return _shot_time(alpha, a, target) - t
 
     lo, hi = target - 2.0 * t / LN2, target - 2.0 * t
-    root, f_root, iterations = _brent_root(miss, lo, hi, miss(lo), miss(hi), _SHOOT_A_TOL)
+    root, f_root, iterations = _brent_root(miss, lo, hi, miss(lo), miss(hi))
     shots = 2 + iterations
     return HcSolution(
         t=t,
@@ -339,30 +342,27 @@ def solve_q(alpha: float, q0: float, t: float) -> HcSolution:
         a=root,
         q=1.0 + math.exp(root),
         residual=abs(f_root) * 2.0 / LN2,
-        steps=shots * _QUAD_NODES,
         evaluations=shots,
     )
 
 
-def psi_bound(alpha: float, rho: float, split: float = 0.5) -> ExponentBound:
+def psi_bound(alpha: float, rho: float) -> ExponentBound:
     """Upper exponent psi(alpha, rho) with P <= 2^(-n psi) for equal rates.
 
-    Factorizes T_rho across the two sets with rho = e^(-2t), bounds each
-    factor by the solved norm index at q0 = 2 (the symmetric split is the
-    Cauchy-Schwarz step), giving psi = 2 (1 - alpha) / q(t) with
-    t = -ln(rho) / 2.  ``split`` unbalances the factorization
-    experimentally (t1 = split * (-ln rho), t2 the rest); the default is
-    the symmetric split.  rho = 1 gives (1 - alpha) exactly; every
+    Factorizes T_rho = T_{e^-t} T_{e^-t} across the two sets with
+    rho = e^(-2t), bounds each factor by the solved norm index at q0 = 2
+    (the Cauchy-Schwarz step), giving psi = 2 (1 - alpha) / q(t) with
+    t = -ln(rho) / 2.  An unequal split, times s h and (1 - s) h with
+    h = -ln rho, gives (1 - alpha)(1/q(s h) + 1/q((1 - s) h)), which
+    Jensen's inequality keeps at or below the symmetric value since
+    1/q(t) is concave in t.  rho = 1 gives (1 - alpha) exactly; every
     rho > 0 solves, until q(t) rounds to 1 (ValueError from `solve_q`,
-    near rho = 1e-16 for the symmetric split).
+    near rho = 1e-16).
     """
     _check_range("rate", alpha, 0.0, 1.0, lo_open=True, hi_open=True)
     _check_range("correlation", rho, 0.0, 1.0, lo_open=True)
-    _check_range("split", split, 0.0, 1.0, lo_open=True, hi_open=True)
-    horizon = -math.log(rho)
-    first = solve_q(alpha, 2.0, split * horizon).q
-    second = first if split == 0.5 else solve_q(alpha, 2.0, (1.0 - split) * horizon).q
-    return ExponentBound((1.0 - alpha) / first + (1.0 - alpha) / second, "psi_upper")
+    q = solve_q(alpha, 2.0, -math.log(rho) / 2.0).q
+    return ExponentBound(2.0 * (1.0 - alpha) / q, "psi_upper")
 
 
 @dataclass(frozen=True)
@@ -384,15 +384,21 @@ def verify_hc_inequality(
 ) -> HcCertificate:
     """Check ||T_{e^-t} 1_A||_q0 <= ||1_A||_q(t) exactly on a small cube.
 
-    The left side runs through the oracle's spectral noise operator; the
+    The left side runs through the oracle's spectral noise operator, whose
+    dense 2^n array caps n at MAX_FUNCTION_DIM (ValueError beyond); the
     right side is (|A| / 2^n)^(1/q) with q from the shooting solve.  The
     rate defaults to log2|A| / n, the tightest admissible, lifted to 1/n
     for a singleton since the solver needs a positive rate; an explicit
-    ``alpha`` must still satisfy |A| <= 2^(n alpha).
+    ``alpha`` must still satisfy |A| <= 2^(n alpha).  The full cube has
+    rate 1, outside the solver's domain, and raises ValueError: both
+    sides equal 1 there for every q.
     """
     n = a_set.n
-    if n > 14:
-        raise ValueError(f"direct verification capped at n=14, got {n}")
+    if len(a_set) == 1 << n:
+        raise ValueError(
+            f"A is the full cube {{0,1}}^{n}: its rate 1 lies outside the "
+            "solver's (0, 1), and both sides equal 1"
+        )
     exact_rate = math.log2(len(a_set)) / n
     if alpha is None:
         alpha = max(exact_rate, 1.0 / n)

@@ -10,8 +10,8 @@ Points of {0,1}^n are Python integers with bit j holding coordinate j
 (so the Hamming distance is a popcount of an XOR, exact at any n).
 Profile counts are arbitrary-precision integers.  Probabilities come in
 two arithmetic modes: log-domain floats with log-sum-exp accumulation
-(any n), and exact rationals via `fractions.Fraction` (n <= 64 and
-rational correlation).
+and exact rationals via `fractions.Fraction` (rational correlation),
+both at any n.
 """
 
 from __future__ import annotations
@@ -28,7 +28,6 @@ from .entropy import NEG_INF, _check_range
 
 __all__ = [
     "MAX_FUNCTION_DIM",
-    "MAX_EXACT_DIM",
     "DEFAULT_PAIR_BUDGET",
     "SetFileError",
     "EnumerationBudgetError",
@@ -50,8 +49,6 @@ __all__ = [
 
 # Dense function storage is 2**n floats; 20 keeps that to 8 MB.
 MAX_FUNCTION_DIM = 20
-# Exact-rational rectangle probabilities stay cheap while members fit a word.
-MAX_EXACT_DIM = 64
 # Ordered pairs examined by the enumeration oracles.
 DEFAULT_PAIR_BUDGET = 10**8
 
@@ -59,6 +56,12 @@ DEFAULT_PAIR_BUDGET = 10**8
 _MAX_SET_DIM = 30
 _SPHERE_ENUM_LIMIT = 10**7
 _PAIR_CHUNK = 1 << 22
+
+
+def _check_function_dim(n: int) -> None:
+    """Dense storage takes 2^n floats; checked before they are allocated."""
+    if not isinstance(n, int) or not 1 <= n <= MAX_FUNCTION_DIM:
+        raise ValueError(f"dimension must lie in [1, {MAX_FUNCTION_DIM}], got {n!r}")
 
 
 def _check_dim(n: int) -> None:
@@ -76,8 +79,8 @@ class SetFileError(ValueError):
         self.line = line
 
 
-class EnumerationBudgetError(RuntimeError):
-    """An enumeration would exceed the ordered-pair budget."""
+class EnumerationBudgetError(ValueError):
+    """An enumeration would exceed its budget: over-budget input is bad input."""
 
 
 @dataclass(frozen=True)
@@ -139,9 +142,7 @@ class CubeSet:
 
     @classmethod
     def full(cls, n: int) -> "CubeSet":
-        _check_dim(n)
-        if n > MAX_FUNCTION_DIM:
-            raise ValueError(f"full cube enumeration capped at n={MAX_FUNCTION_DIM}")
+        _check_function_dim(n)
         return cls(n, tuple(range(1 << n)))
 
     def to_strings(self) -> list[str]:
@@ -197,17 +198,21 @@ class DistanceProfile:
         return Fraction(total, self.size_a * self.size_b)
 
 
-def pair_distance_profile(
-    a: CubeSet, b: CubeSet, budget: int = DEFAULT_PAIR_BUDGET
-) -> DistanceProfile:
-    """Exact distance profile of the ordered pairs of A x B."""
+def _check_pairs(a: CubeSet, b: CubeSet) -> None:
+    """Both pair loops need sets of one dimension and at most
+    DEFAULT_PAIR_BUDGET ordered pairs, read at call time."""
     if a.n != b.n:
         raise ValueError(f"dimension mismatch: {a.n} vs {b.n}")
     pairs = len(a) * len(b)
-    if pairs > budget:
+    if pairs > DEFAULT_PAIR_BUDGET:
         raise EnumerationBudgetError(
-            f"{pairs} ordered pairs exceed the budget of {budget}"
+            f"{pairs} ordered pairs exceed the budget of {DEFAULT_PAIR_BUDGET}"
         )
+
+
+def pair_distance_profile(a: CubeSet, b: CubeSet) -> DistanceProfile:
+    """Exact distance profile of the ordered pairs of A x B."""
+    _check_pairs(a, b)
     n = a.n
     av = np.array(a.members, dtype=np.uint64)
     bv = np.array(b.members, dtype=np.uint64)
@@ -299,8 +304,6 @@ def rectangle_prob_fraction(profile: DistanceProfile, rho) -> Fraction:
     Dyadic floats convert exactly; pass `Fraction` or a string like "1/3"
     for non-dyadic correlations.
     """
-    if profile.n > MAX_EXACT_DIM:
-        raise ValueError(f"exact mode capped at n={MAX_EXACT_DIM}, got {profile.n}")
     term, ratio = _kernel(Fraction(rho), profile.n)
     total = Fraction(0)
     for count in profile.counts:
@@ -312,9 +315,7 @@ def rectangle_prob_fraction(profile: DistanceProfile, rho) -> Fraction:
     return total
 
 
-def rectangle_prob_direct(
-    a: CubeSet, b: CubeSet, rho, budget: int = DEFAULT_PAIR_BUDGET
-) -> float | Fraction:
+def rectangle_prob_direct(a: CubeSet, b: CubeSet, rho) -> float | Fraction:
     """P[X in A, Y in B] by a direct double loop over pairs.
 
     Independent of the profile route: the kernel value of every pair is
@@ -322,12 +323,7 @@ def rectangle_prob_direct(
     rho gives the exact Fraction and a float rho a float.  Intended as a
     cross-check at small n.
     """
-    if a.n != b.n:
-        raise ValueError(f"dimension mismatch: {a.n} vs {b.n}")
-    if len(a) * len(b) > budget:
-        raise EnumerationBudgetError(
-            f"{len(a) * len(b)} ordered pairs exceed the budget of {budget}"
-        )
+    _check_pairs(a, b)
     weight, ratio = _kernel(rho, a.n)
     powers = [weight]
     for _ in range(a.n):
@@ -347,10 +343,7 @@ class CubeFunction:
     values: np.ndarray = field(repr=False)
 
     def __post_init__(self) -> None:
-        if not isinstance(self.n, int) or not 1 <= self.n <= MAX_FUNCTION_DIM:
-            raise ValueError(
-                f"dimension must lie in [1, {MAX_FUNCTION_DIM}], got {self.n!r}"
-            )
+        _check_function_dim(self.n)
         values = np.asarray(self.values, dtype=np.float64)
         if values.shape != (1 << self.n,):
             raise ValueError(
@@ -362,14 +355,14 @@ class CubeFunction:
 
     @classmethod
     def indicator(cls, s: CubeSet) -> "CubeFunction":
-        if s.n > MAX_FUNCTION_DIM:
-            raise ValueError(f"indicator functions capped at n={MAX_FUNCTION_DIM}")
+        _check_function_dim(s.n)
         values = np.zeros(1 << s.n)
         values[list(s.members)] = 1.0
         return cls(s.n, values)
 
     @classmethod
     def constant(cls, n: int, c: float) -> "CubeFunction":
+        _check_function_dim(n)
         return cls(n, np.full(1 << n, float(c)))
 
     def mean(self) -> float:

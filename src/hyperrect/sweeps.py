@@ -38,8 +38,8 @@ def _check_grid_budget(what: str, points: int) -> None:
         raise ValueError(f"{what} has {points} points, over the budget of {MAX_GRID_POINTS}")
 
 
-class SweepError(RuntimeError):
-    """A core operation failed at an identified grid point."""
+class SweepError(ValueError):
+    """A core operation rejected its input at an identified grid point."""
 
 
 @dataclass(frozen=True)
@@ -84,7 +84,6 @@ class SweepSpec:
     operation: str
     axes: tuple[AxisSpec, ...] = ()
     params: Mapping[str, float | str] = field(default_factory=dict)
-    out_path: str | None = None
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "axes", tuple(self.axes))
@@ -228,8 +227,9 @@ def run_sweep(spec: SweepSpec) -> ResultTable:
     """Evaluate the operation over the axis product, one row per point.
 
     Rows come in lexicographic order over the axes (first axis slowest).
-    Identical specs produce byte-identical CSV.  Any core-operation error
-    aborts the sweep with the offending grid point identified.
+    Identical specs produce byte-identical CSV.  A ValueError from the
+    operation aborts the sweep as a SweepError naming the grid point; any
+    other exception is a bug and propagates as it is.
     """
     op = OPERATIONS[spec.operation]
     axis_names = [axis.name for axis in spec.axes]
@@ -251,7 +251,7 @@ def run_sweep(spec: SweepSpec) -> ResultTable:
             kwargs[name] = point[source]
         try:
             outputs = op(**kwargs)
-        except Exception as exc:
+        except ValueError as exc:
             where = ", ".join(f"{k}={v!r}" for k, v in sorted(kwargs.items()))
             raise SweepError(
                 f"operation {spec.operation!r} failed at ({where}): {exc}"
@@ -260,10 +260,7 @@ def run_sweep(spec: SweepSpec) -> ResultTable:
 
     combos = product(*axis_points) if axis_points else [()]
     rows = [evaluate(combo) for combo in combos]
-    table = ResultTable(tuple(axis_names) + op.outputs, tuple(rows))
-    if spec.out_path is not None:
-        table.write_csv(spec.out_path)
-    return table
+    return ResultTable(tuple(axis_names) + op.outputs, tuple(rows))
 
 
 def figure_phi_surface(grid_count: int) -> ResultTable:

@@ -1,8 +1,10 @@
 """Seeded self-verification suites over the package's numerical invariants.
 
-Each suite returns CheckResult records; the CLI and the test suite both
-consume them, so a property lives in exactly one place.  Sizes are kept
-modest: the full run is meant to finish in well under a minute.
+Each suite returns CheckResult records, which the CLI prints and
+tests/test_verify.py asserts, so the two run the same checks; some unit
+and acceptance tests check the same properties again on their own grids.
+Sizes are kept modest: the full run is meant to finish in well under a
+minute.
 """
 
 from __future__ import annotations

@@ -10,6 +10,8 @@ import math
 import time
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from hyperrect import (
     CubeSet,
@@ -230,6 +232,19 @@ class TestOracleCommand:
         )
         assert code == 2
 
+    @pytest.mark.parametrize("exact", [[], ["--exact"]])
+    def test_zero_denominator_exit_2(self, capsys, tmp_path, exact):
+        a = tmp_path / "a.set"
+        a.write_text("n=2\n00\n")
+        code, out, err = run_cli(
+            capsys,
+            "oracle", "--n", "2", "--set-a", str(a), "--set-b", str(a),
+            "--rho", "1/0", *exact,
+        )
+        assert code == 2
+        assert out == ""
+        assert "zero denominator" in err
+
     def test_json(self, capsys, tmp_path):
         a = tmp_path / "a.set"
         a.write_text("n=2\n00\n11\n")
@@ -304,6 +319,13 @@ class TestHcCommand:
         code, _, err = run_cli(capsys, "hc", "--alpha", "0.5", *argv)
         assert code == 2
         assert "error:" in err
+
+
+    def test_split_retired(self, capsys):
+        with pytest.raises(SystemExit) as info:
+            main(["hc", "--alpha", "0.5", "--rho", "0.95", "--split", "0.3"])
+        capsys.readouterr()
+        assert info.value.code == 2
 
 
 class TestSweepCommand:
@@ -470,6 +492,65 @@ class TestVerifyCommand:
             main(["verify", "--suite", "bogus"])
         capsys.readouterr()
         assert info.value.code == 2
+
+
+# Values that no parser or domain check may turn into a traceback.
+_HOSTILE = ("nan", "inf", "-inf", "1e308", "-1e308", "1/0", "abc", "", "0", "1",
+            "-1", "0.5", "3", "1e-300")
+
+
+def _argv(draw, tmp):
+    """One argv for a random subcommand, every value drawn from _HOSTILE."""
+    value = lambda: draw(st.sampled_from(_HOSTILE))  # noqa: E731
+    count = lambda: draw(st.sampled_from(("3", "1", "0", "-1", "nan", "1e308")))  # noqa: E731
+    grid = lambda: f"{value()}:{value()}:{count()}"  # noqa: E731
+    command = draw(st.sampled_from(
+        ("exponent", "bound", "oracle", "hc", "sweep", "figure", "scan", "verify")
+    ))
+    if command in ("exponent", "bound"):
+        return [command, "--alpha", value(), "--beta", value(), "--rho", value()]
+    if command == "oracle":
+        exact = draw(st.sampled_from(([], ["--exact"])))
+        return [command, "--n", value(), "--set-a", tmp, "--set-b", tmp,
+                "--rho", value(), *exact]
+    if command == "hc":
+        when = draw(st.sampled_from(("--t", "--rho")))
+        return [command, "--alpha", value(), "--q0", value(), when, value()]
+    if command == "sweep":
+        op = draw(st.sampled_from(("phi", "psi_bound", "sphere_exponent", "c_function")))
+        name = draw(st.sampled_from(("x", "alpha", "rho", "lam")))
+        param = draw(st.sampled_from(("y", "beta", "rho")))
+        return [command, "--op", op, "--axis", f"{name}={grid()}",
+                "--param", f"{param}={value()}"]
+    if command == "figure":
+        return [command, "--grid-count", count()]
+    if command == "scan":
+        return [command, "--r1", grid(), "--rho", grid(), "--r2", grid(),
+                "--margin", value()]
+    return [command, "--suite", draw(st.sampled_from(("entropy", "bogus"))),
+            "--seed", value()]
+
+
+class TestHostileInput:
+    def test_every_subcommand_exits_cleanly(self, capsys, tmp_path):
+        # NaN, +-inf, 1e308, 1/0 and non-numeric text give exit 0, 1 or 2:
+        # bad input is a ValueError, and any other exception fails here.
+        path = tmp_path / "a.set"
+        path.write_text("n=1\n0\n1\n")
+
+        @settings(max_examples=200, deadline=None, derandomize=True,
+                  suppress_health_check=[HealthCheck.too_slow])
+        @given(st.data())
+        def drive(data):
+            argv = _argv(data.draw, str(path))
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                code = exc.code
+            capsys.readouterr()
+            assert code in (0, 1, 2), argv
+
+        drive()
 
 
 class TestTopLevel:

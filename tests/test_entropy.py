@@ -16,7 +16,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hyperrect import (
-    NEG_INF,
     binary_entropy,
     binary_entropy_inv,
     g_func,
@@ -243,8 +242,9 @@ class TestLogBinomial:
             log_binomial(4, -1)
 
     def test_sentinel_mode(self):
-        assert log_binomial(4, 5, strict=False) == NEG_INF
-        assert log_binomial(4, -1, strict=False) == NEG_INF
+        # The -inf sentinel mode is retired: log_binomial is always strict.
+        with pytest.raises(TypeError):
+            log_binomial(4, 5, strict=False)
 
 
 class TestVFunc:

@@ -388,7 +388,6 @@ class TestSolveQ:
         monkeypatch.setattr(hc_module, "_rk4", refuse)
         solve_q(0.5, 2.0, 0.1)
         psi_bound(0.5, 0.8)
-        psi_bound(0.5, 0.8, split=0.3)
 
     def test_small_rate_is_fast(self):
         # Step halving near C's singular endpoint used to take 11.6 s here.
@@ -426,22 +425,30 @@ class TestPsiBound:
         assert psi <= sphere + 1e-6
 
     def test_split_symmetry(self):
-        # The two-leg split is symmetric: s and 1-s give the same bound.
-        for s in [0.3, 0.4]:
-            lhs = psi_bound(0.5, 0.95, split=s).value
-            rhs = psi_bound(0.5, 0.95, split=1 - s).value
-            assert lhs == pytest.approx(rhs, abs=1e-10)
+        # The retired split: times s h and (1-s) h, h = -ln rho, give
+        # (1-alpha)(1/q(s h) + 1/q((1-s) h)).  1/q(t) is concave in t, so
+        # by Jensen no split beats the symmetric one that psi_bound uses.
+        for alpha in (0.1, 0.3, 0.5, 0.7, 0.9):
+            for rho in (0.5, 0.8, 0.9, 0.95, 0.99, 0.999):
+                psi = psi_bound(alpha, rho).value
+                h = -math.log(rho)
+                for s in (0.1, 0.2, 0.3, 0.4, 0.45, 0.55, 0.6, 0.8, 0.9):
+                    legs = (1 / solve_q(alpha, 2.0, s * h).q
+                            + 1 / solve_q(alpha, 2.0, (1 - s) * h).q)
+                    assert (1 - alpha) * legs <= psi + 1e-12
 
     def test_symmetric_split_matches_explicit(self):
-        assert psi_bound(0.5, 0.95, split=0.5).value == pytest.approx(
-            psi_bound(0.5, 0.95).value, abs=1e-12
-        )
+        # One solve at t = -ln(rho)/2, bit for bit the old two-leg sum.
+        for alpha, rho in [(0.5, 0.95), (0.2, 0.6), (0.9, 0.999)]:
+            q = solve_q(alpha, 2.0, -math.log(rho) / 2).q
+            value = psi_bound(alpha, rho).value
+            assert value == 2 * (1 - alpha) / q
+            assert value == (1 - alpha) / q + (1 - alpha) / q
 
     def test_bad_split(self):
-        with pytest.raises(ValueError):
-            psi_bound(0.5, 0.95, split=-0.1)
-        with pytest.raises(ValueError):
-            psi_bound(0.5, 0.95, split=1.1)
+        # The split option is retired.
+        with pytest.raises(TypeError):
+            psi_bound(0.5, 0.95, split=0.3)
 
     def test_matches_bisection_oracle(self):
         for alpha, rho in [(0.3, 0.9), (0.5, 0.8), (0.7, 0.95)]:
@@ -513,9 +520,24 @@ class TestVerifyHcInequality:
         assert cert.alpha == 0.75
 
     def test_dimension_cap(self):
-        a = CubeSet(15, (0,))
-        with pytest.raises(ValueError):
+        # The dense 2^n array of the noise operator caps n at 20.
+        a = CubeSet(21, (0,))
+        with pytest.raises(ValueError, match=r"\[1, 20\]"):
             verify_hc_inequality(a, 2.0, 0.01)
+
+    @pytest.mark.parametrize("n", [18, 20])
+    def test_wide_dimensions(self, n):
+        # Only the noise operator's dense array, n <= 20, bounds n.
+        a = CubeSet(n, tuple(range(0, 1 << n, 1 << (n // 2))))
+        cert = verify_hc_inequality(a, 2.0, 0.05)
+        assert cert.passed
+        assert cert.alpha == pytest.approx(0.5)
+
+    @pytest.mark.parametrize("n", [1, 4])
+    def test_full_cube_rejected(self, n):
+        # Rate 1 is outside the solver's domain; the error names the cube.
+        with pytest.raises(ValueError, match="full cube"):
+            verify_hc_inequality(CubeSet.full(n), 2.0, 0.05)
 
 
 class TestIntegratorOrder:

@@ -9,6 +9,7 @@ and the noise operator with hand-computed conditional expectations.
 import math
 import random
 import re
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
@@ -17,6 +18,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import hyperrect.oracle as oracle_module
 from hyperrect import (
     CubeFunction,
     CubeSet,
@@ -131,10 +133,20 @@ class TestPairDistanceProfile:
         with pytest.raises(ValueError):
             pair_distance_profile(CubeSet.full(3), CubeSet.full(4))
 
-    def test_budget(self):
+    def test_budget(self, monkeypatch):
+        # Both pair loops read the budget at call time.
         s = CubeSet.full(6)
-        with pytest.raises(EnumerationBudgetError):
-            pair_distance_profile(s, s, budget=100)
+        monkeypatch.setattr(oracle_module, "DEFAULT_PAIR_BUDGET", 100)
+        with pytest.raises(EnumerationBudgetError, match="budget of 100"):
+            pair_distance_profile(s, s)
+        with pytest.raises(EnumerationBudgetError, match="budget of 100"):
+            rectangle_prob_direct(s, s, 0.5)
+        small = CubeSet.full(3)
+        assert pair_distance_profile(small, small).size_a == 8
+
+    def test_budget_error_is_a_value_error(self):
+        # Over-budget input is bad input.
+        assert issubclass(EnumerationBudgetError, ValueError)
 
     def test_average_distance_exact(self):
         # Mean distance in coordinates: (0 + 1 + 1 + 2) / 4 = 1.
@@ -239,6 +251,14 @@ class TestRectangleProb:
                 assert -1e-14 <= value <= 0.0
                 overshoots += value == 0.0 and rho > 0.0
         assert overshoots
+
+    @pytest.mark.parametrize("n", [100, 200])
+    def test_exact_mode_at_large_n(self, n):
+        # Exact mode never sees a set member, so no dimension cap applies.
+        profile = sphere_distance_profile(n, n // 4, n // 3)
+        exact = rectangle_prob_fraction(profile, Fraction(1, 2))
+        log2_exact = math.log2(exact.numerator) - math.log2(exact.denominator)
+        assert log2_exact == pytest.approx(rectangle_prob(profile, 0.5), abs=1e-9)
 
     def test_unrealizable_profile_rejected(self):
         # All 16 pairs of two 4-point sets in n = 2 at distance 0:
@@ -389,6 +409,15 @@ class TestNoiseOperator:
     def test_dimension_cap(self):
         with pytest.raises(ValueError):
             CubeFunction(21, np.zeros(2**21))
+        # A constant is refused before its 16 MB array exists.
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError):
+                CubeFunction.constant(21, 1.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
 
 
 class TestPNorm:

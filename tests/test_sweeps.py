@@ -181,14 +181,32 @@ class TestRunSweep:
         assert first == second
 
     def test_csv_written(self, tmp_path):
+        # The spec holds no output path; the caller writes the table.
         out = tmp_path / "sweep.csv"
-        spec = SweepSpec(
-            "binary_entropy",
-            axes=(AxisSpec("p", 0.1, 0.5, 3),),
-            out_path=str(out),
-        )
+        spec = SweepSpec("binary_entropy", axes=(AxisSpec("p", 0.1, 0.5, 3),))
         table = run_sweep(spec)
+        table.write_csv(out)
         assert out.read_text() == table.to_csv_text()
+        with pytest.raises(TypeError):
+            SweepSpec("binary_entropy", out_path=str(out))
+
+    def test_sweep_error_is_a_value_error(self):
+        assert issubclass(SweepError, ValueError)
+
+    def test_programming_error_propagates_unwrapped(self):
+        # Only ValueError means bad input; any other exception is a bug
+        # and must keep its own type and traceback.
+        def broken(*args, **kwargs):
+            raise TypeError("broken operation")
+
+        spec = SweepSpec(
+            "sphere_exponent",
+            axes=(AxisSpec("rho", 0.2, 0.8, 3),),
+            params={"alpha": 0.4, "beta": 0.7},
+        )
+        with mock.patch.object(exponents_module, "sphere_exponent", broken):
+            with pytest.raises(TypeError, match="broken operation"):
+                run_sweep(spec)
 
     def test_starts_no_thread(self):
         spec = SweepSpec(
@@ -410,9 +428,7 @@ _PINNED_INPUTS = {
     "thm2_expansion": (("alpha", "beta", "rho"), {}),
     "avg_distance_bounds": (("alpha", "beta"), {}),
     "remark3_threshold": (("rho",), {}),
-    # split became a sweep input when the inputs came to be read from
-    # psi_bound's signature.
-    "psi_bound": (("alpha", "rho", "split"), {"split": 0.5}),
+    "psi_bound": (("alpha", "rho"), {}),
     "van_tilborg_cap": (("d", "r1", "r2"), {}),
     "zero_error_upper": (("r1", "r2", "rho"), {}),
 }
