@@ -385,7 +385,7 @@ def verify_hc_inequality(
     """Check ||T_{e^-t} 1_A||_q0 <= ||1_A||_q(t) exactly on a small cube.
 
     The left side runs through the oracle's spectral noise operator, whose
-    dense 2^n array caps n at MAX_FUNCTION_DIM (ValueError beyond); the
+    dense 2^n array caps n at MAX_FUNCTION_DIM, as CubeSet does; the
     right side is (|A| / 2^n)^(1/q) with q from the shooting solve.  The
     rate defaults to log2|A| / n, the tightest admissible, lifted to 1/n
     for a singleton since the solver needs a positive rate; an explicit

@@ -1,17 +1,16 @@
 """Exact ground truth on small hypercubes.
 
-Everything here is finite-n and fully enumerable: explicit subsets of
-{0,1}^n, pairwise Hamming-distance profiles, rectangle probabilities under
-the correlated-pair kernel, the noise operator, and p-norms.  The rest of
-the package is asymptotic; this module is what its formulas are tested
-against.
+Everything here is finite-n and exact: explicit subsets of {0,1}^n
+(n <= MAX_FUNCTION_DIM), Hamming-distance profiles of set pairs by XOR
+convolution, rectangle probabilities under the correlated-pair kernel,
+the noise operator, and p-norms.  The rest of the package is asymptotic;
+this module is what its formulas are tested against.
 
 Points of {0,1}^n are Python integers with bit j holding coordinate j
-(so the Hamming distance is a popcount of an XOR, exact at any n).
-Profile counts are arbitrary-precision integers.  Probabilities come in
-two arithmetic modes: log-domain floats with log-sum-exp accumulation
-and exact rationals via `fractions.Fraction` (rational correlation),
-both at any n.
+(so the Hamming distance is a popcount of an XOR).  Profile counts are
+exact integers.  Probabilities from a profile come in two arithmetic
+modes, at any n: log-domain floats with log-sum-exp accumulation and
+exact rationals via `fractions.Fraction` (rational correlation).
 """
 
 from __future__ import annotations
@@ -47,28 +46,17 @@ __all__ = [
     "write_set_file",
 ]
 
-# Dense function storage is 2**n floats; 20 keeps that to 8 MB.
+# Dense storage is 2**n entries (functions, and the transforms behind
+# distance profiles); 20 keeps a float array to 8 MB.
 MAX_FUNCTION_DIM = 20
-# Ordered pairs examined by the enumeration oracles.
+# Ordered pairs visited by the direct double loop.
 DEFAULT_PAIR_BUDGET = 10**8
-
-# Explicit sets are meant for enumeration; rates only need small n.
-_MAX_SET_DIM = 30
-_SPHERE_ENUM_LIMIT = 10**7
-_PAIR_CHUNK = 1 << 22
 
 
 def _check_function_dim(n: int) -> None:
-    """Dense storage takes 2^n floats; checked before they are allocated."""
-    if not isinstance(n, int) or not 1 <= n <= MAX_FUNCTION_DIM:
+    """Dense storage takes 2^n entries; checked before they are allocated."""
+    if not isinstance(n, int) or isinstance(n, bool) or not 1 <= n <= MAX_FUNCTION_DIM:
         raise ValueError(f"dimension must lie in [1, {MAX_FUNCTION_DIM}], got {n!r}")
-
-
-def _check_dim(n: int) -> None:
-    if not isinstance(n, int) or isinstance(n, bool):
-        raise ValueError(f"dimension must be an int, got {n!r}")
-    if not 1 <= n <= _MAX_SET_DIM:
-        raise ValueError(f"dimension must lie in [1, {_MAX_SET_DIM}], got {n}")
 
 
 class SetFileError(ValueError):
@@ -96,7 +84,7 @@ class CubeSet:
     members: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        _check_dim(self.n)
+        _check_function_dim(self.n)
         members = tuple(self.members)
         if not members:
             raise ValueError("a cube set must be nonempty")
@@ -126,14 +114,9 @@ class CubeSet:
     @classmethod
     def sphere(cls, n: int, weight: int) -> "CubeSet":
         """Hamming sphere of the given weight around the all-zero point."""
-        _check_dim(n)
+        _check_function_dim(n)
         if not 0 <= weight <= n:
             raise ValueError(f"weight must lie in [0, {n}], got {weight}")
-        if math.comb(n, weight) > _SPHERE_ENUM_LIMIT:
-            raise EnumerationBudgetError(
-                f"sphere of weight {weight} in n={n} has {math.comb(n, weight)} "
-                f"points, beyond the enumeration limit {_SPHERE_ENUM_LIMIT}"
-            )
         members = tuple(
             sum(1 << j for j in positions)
             for positions in combinations(range(n), weight)
@@ -198,30 +181,32 @@ class DistanceProfile:
         return Fraction(total, self.size_a * self.size_b)
 
 
-def _check_pairs(a: CubeSet, b: CubeSet) -> None:
-    """Both pair loops need sets of one dimension and at most
-    DEFAULT_PAIR_BUDGET ordered pairs, read at call time."""
+def _check_same_dim(a, b) -> None:
     if a.n != b.n:
         raise ValueError(f"dimension mismatch: {a.n} vs {b.n}")
-    pairs = len(a) * len(b)
-    if pairs > DEFAULT_PAIR_BUDGET:
-        raise EnumerationBudgetError(
-            f"{pairs} ordered pairs exceed the budget of {DEFAULT_PAIR_BUDGET}"
-        )
 
 
 def pair_distance_profile(a: CubeSet, b: CubeSet) -> DistanceProfile:
-    """Exact distance profile of the ordered pairs of A x B."""
-    _check_pairs(a, b)
+    """Exact distance profile of the ordered pairs of A x B.
+
+    counts[k] sums the XOR convolution (1_A * 1_B)(z) = #{(x, y) : x ^ y = z}
+    over the z of weight k.  By the convolution theorem on the cube it is
+    the transform of the product of the two indicators' transforms, over 2^n.
+    """
+    _check_same_dim(a, b)
     n = a.n
-    av = np.array(a.members, dtype=np.uint64)
-    bv = np.array(b.members, dtype=np.uint64)
-    counts = np.zeros(n + 1, dtype=np.int64)
-    rows_per_chunk = max(1, _PAIR_CHUNK // len(b))
-    for start in range(0, len(a), rows_per_chunk):
-        block = av[start : start + rows_per_chunk, None] ^ bv[None, :]
-        dists = np.bitwise_count(block)
-        counts += np.bincount(dists.ravel(), minlength=n + 1)
+    product = np.ones(1 << n, dtype=np.int64)
+    for s in (a, b):
+        indicator = np.zeros(1 << n, dtype=np.int64)
+        indicator[list(s.members)] = 1
+        product *= _fwht(indicator)
+    # Exact in int64: every entry of the last transform, at every level, is
+    # a signed sum of the products, so by Cauchy-Schwarz and Parseval at
+    # most 2^n sqrt(|A||B|) <= 2^40.  The level sums are integers of at most
+    # |A||B| <= 2^40, so bincount's float64 sum is exact too.
+    convolution = _fwht(product) >> n
+    levels = np.bitwise_count(np.arange(1 << n, dtype=np.uint64))
+    counts = np.bincount(levels, weights=convolution, minlength=n + 1)
     return DistanceProfile(n, tuple(int(c) for c in counts), len(a), len(b))
 
 
@@ -261,12 +246,17 @@ def _log2_fraction(value: Fraction) -> float:
     return math.log2(value.numerator) - math.log2(value.denominator)
 
 
-def _kernel(rho, n: int):
-    """The correlated-pair kernel in rho's own arithmetic (exact for a
-    Fraction, float otherwise): (((1+rho)/4)^n, (1-rho)/(1+rho)), the
-    weight of a pair at distance 0 and the factor per unit of distance."""
+def _kernel_sum(counts: Sequence[int], rho):
+    """P from the pair counts at distances 0..n, in rho's own arithmetic
+    (exact for a Fraction, float otherwise): one kernel product per
+    distance, ((1+rho)/4)^n ((1-rho)/(1+rho))^k per pair at distance k."""
     _check_range("correlation", rho, 0, 1)
-    return ((1 + rho) / 4) ** n, (1 - rho) / (1 + rho)
+    term, ratio = ((1 + rho) / 4) ** (len(counts) - 1), (1 - rho) / (1 + rho)
+    total = 0
+    for count in counts:
+        total += count * term
+        term *= ratio
+    return total
 
 
 def rectangle_prob(profile: DistanceProfile, rho: float) -> float:
@@ -304,12 +294,7 @@ def rectangle_prob_fraction(profile: DistanceProfile, rho) -> Fraction:
     Dyadic floats convert exactly; pass `Fraction` or a string like "1/3"
     for non-dyadic correlations.
     """
-    term, ratio = _kernel(Fraction(rho), profile.n)
-    total = Fraction(0)
-    for count in profile.counts:
-        if count:
-            total += count * term
-        term *= ratio
+    total = _kernel_sum(profile.counts, Fraction(rho))
     if total > 1:
         raise ValueError(f"P = {total} > 1: {_UNREALIZABLE}")
     return total
@@ -318,21 +303,23 @@ def rectangle_prob_fraction(profile: DistanceProfile, rho) -> Fraction:
 def rectangle_prob_direct(a: CubeSet, b: CubeSet, rho) -> float | Fraction:
     """P[X in A, Y in B] by a direct double loop over pairs.
 
-    Independent of the profile route: the kernel value of every pair is
-    summed in plain probability space, in rho's arithmetic, so a Fraction
-    rho gives the exact Fraction and a float rho a float.  Intended as a
-    cross-check at small n.
+    Independent of the profile route: a pure-Python histogram of the pair
+    distances, then one kernel product per distance, summed in plain
+    probability space in rho's arithmetic, so a Fraction rho gives the
+    exact Fraction and a float rho a float.  Intended as a cross-check at
+    small n; at most DEFAULT_PAIR_BUDGET ordered pairs, read at call time.
     """
-    _check_pairs(a, b)
-    weight, ratio = _kernel(rho, a.n)
-    powers = [weight]
-    for _ in range(a.n):
-        powers.append(powers[-1] * ratio)
-    total = 0
+    _check_same_dim(a, b)
+    pairs = len(a) * len(b)
+    if pairs > DEFAULT_PAIR_BUDGET:
+        raise EnumerationBudgetError(
+            f"{pairs} ordered pairs exceed the budget of {DEFAULT_PAIR_BUDGET}"
+        )
+    counts = [0] * (a.n + 1)
     for x in a.members:
         for y in b.members:
-            total += powers[(x ^ y).bit_count()]
-    return total
+            counts[(x ^ y).bit_count()] += 1
+    return _kernel_sum(counts, rho)
 
 
 @dataclass
@@ -355,7 +342,6 @@ class CubeFunction:
 
     @classmethod
     def indicator(cls, s: CubeSet) -> "CubeFunction":
-        _check_function_dim(s.n)
         values = np.zeros(1 << s.n)
         values[list(s.members)] = 1.0
         return cls(s.n, values)
@@ -370,15 +356,17 @@ class CubeFunction:
 
 
 def _fwht(values: np.ndarray) -> np.ndarray:
-    """Unnormalized Walsh-Hadamard transform; self-inverse up to 2^n."""
+    """Unnormalized Walsh-Hadamard transform; self-inverse up to 2^n.
+
+    Butterflies in place on a copy, in the input's dtype: exact on int64
+    while no partial sum overflows."""
     out = values.copy()
-    size = out.size
     h = 1
-    while h < size:
-        out = out.reshape(size // (2 * h), 2, h)
-        top = out[:, 0, :] + out[:, 1, :]
-        bottom = out[:, 0, :] - out[:, 1, :]
-        out = np.stack((top, bottom), axis=1).reshape(size)
+    while h < out.size:
+        pairs = out.reshape(-1, 2, h)
+        top = pairs[:, 0, :].copy()
+        pairs[:, 0, :] += pairs[:, 1, :]
+        np.subtract(top, pairs[:, 1, :], out=pairs[:, 1, :])
         h *= 2
     return out
 
@@ -404,8 +392,7 @@ def p_norm(f: CubeFunction, p: float) -> float:
 
 def inner_product(f: CubeFunction, g: CubeFunction) -> float:
     """E[f g] under the uniform measure."""
-    if f.n != g.n:
-        raise ValueError(f"dimension mismatch: {f.n} vs {g.n}")
+    _check_same_dim(f, g)
     return float(np.mean(f.values * g.values))
 
 
@@ -431,8 +418,10 @@ def read_set_file(path) -> CubeSet:
     if not header.startswith("n=") or not header[2:].isdigit():
         raise SetFileError(f"expected 'n=<int>' header, got {header!r}", 1)
     n = int(header[2:])
-    if not 1 <= n <= _MAX_SET_DIM:
-        raise SetFileError(f"dimension must lie in [1, {_MAX_SET_DIM}], got {n}", 1)
+    try:
+        _check_function_dim(n)
+    except ValueError as exc:
+        raise SetFileError(str(exc), 1) from None
     members = []
     seen: set[int] = set()
     for offset, raw in enumerate(lines[1:], start=2):

@@ -77,6 +77,14 @@ class TestCubeSet:
         with pytest.raises(ValueError):
             CubeSet(2, (4,))
 
+    @pytest.mark.parametrize("n", [0, 21, True, 3.0])
+    def test_dimension_cap(self, n):
+        # Explicit sets share the dense cap: the profile transforms 2^n entries.
+        with pytest.raises(ValueError, match=r"\[1, 20\]"):
+            CubeSet(n, (0,))
+        with pytest.raises(ValueError, match=r"\[1, 20\]"):
+            CubeSet.sphere(n, 0)
+
     def test_sphere_sizes(self):
         for n in range(1, 9):
             for w in range(n + 1):
@@ -134,15 +142,37 @@ class TestPairDistanceProfile:
             pair_distance_profile(CubeSet.full(3), CubeSet.full(4))
 
     def test_budget(self, monkeypatch):
-        # Both pair loops read the budget at call time.
+        # Only the direct double loop reads the pair budget, at call time;
+        # the profile's transforms cost 2^n, whatever the set sizes.
         s = CubeSet.full(6)
         monkeypatch.setattr(oracle_module, "DEFAULT_PAIR_BUDGET", 100)
         with pytest.raises(EnumerationBudgetError, match="budget of 100"):
-            pair_distance_profile(s, s)
-        with pytest.raises(EnumerationBudgetError, match="budget of 100"):
             rectangle_prob_direct(s, s, 0.5)
+        assert pair_distance_profile(s, s).counts == tuple(
+            math.comb(6, k) * 64 for k in range(7)
+        )
         small = CubeSet.full(3)
-        assert pair_distance_profile(small, small).size_a == 8
+        assert rectangle_prob_direct(small, small, Fraction(1, 2)) == 1
+
+    def test_full_cube_at_the_cap(self):
+        # Every z of weight k is x ^ y for 2^n ordered pairs of the cube.
+        full = CubeSet.full(20)
+        counts = pair_distance_profile(full, full).counts
+        assert counts == tuple(math.comb(20, k) << 20 for k in range(21))
+
+    def test_peak_memory(self):
+        # The transforms hold a few 2^n int64 arrays, whatever the set
+        # sizes: n = 14 with 8192 x 8192 pairs stays under 2 MB.
+        rng = random.Random(29)
+        a, b = random_set(rng, 14, 8192), random_set(rng, 14, 8192)
+        tracemalloc.start()
+        try:
+            profile = pair_distance_profile(a, b)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert sum(profile.counts) == 8192 * 8192
+        assert peak < 2 << 20
 
     def test_budget_error_is_a_value_error(self):
         # Over-budget input is bad input.
@@ -177,14 +207,14 @@ class TestSphereDistanceProfile:
             sphere_distance_profile(5, 3, 1)
 
     def test_matches_enumeration_small(self):
-        for n in range(1, 9):
-            for i in range(n + 1):
-                for j in range(i, n + 1):
-                    closed = sphere_distance_profile(n, i, j)
-                    enum = pair_distance_profile(
-                        CubeSet.sphere(n, i), CubeSet.sphere(n, j)
-                    )
-                    assert closed.counts == enum.counts
+        # Every sphere pair up to n = 8, and one at the top of the cap.
+        cases = [
+            (n, i, j) for n in range(1, 9) for i in range(n + 1) for j in range(i, n + 1)
+        ]
+        for n, i, j in cases + [(20, 3, 5)]:
+            closed = sphere_distance_profile(n, i, j)
+            enum = pair_distance_profile(CubeSet.sphere(n, i), CubeSet.sphere(n, j))
+            assert closed == enum
 
     def test_large_n(self):
         # Arbitrary-precision path: total count is a Vandermonde identity,
@@ -409,6 +439,9 @@ class TestNoiseOperator:
     def test_dimension_cap(self):
         with pytest.raises(ValueError):
             CubeFunction(21, np.zeros(2**21))
+        # A bool is not a dimension, although True == 1.
+        with pytest.raises(ValueError, match=r"\[1, 20\], got True"):
+            CubeFunction(True, [0.0, 1.0])
         # A constant is refused before its 16 MB array exists.
         tracemalloc.start()
         try:
@@ -522,6 +555,13 @@ class TestSetFiles:
         with pytest.raises(SetFileError) as info:
             read_set_file(path)
         assert info.value.line == 3
+
+    def test_dimension_above_the_cap(self, tmp_path):
+        path = tmp_path / "h.set"
+        path.write_text("n=21\n" + "0" * 21 + "\n")
+        with pytest.raises(SetFileError, match=r"\[1, 20\], got 21") as info:
+            read_set_file(path)
+        assert info.value.line == 1
 
     def test_empty_set_rejected(self, tmp_path):
         path = tmp_path / "g.set"
