@@ -23,12 +23,13 @@ from __future__ import annotations
 
 import functools
 import math
+import sys
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
-from .entropy import LN2, _check_range, binary_entropy_inv
+from .entropy import LN2, _check_range, binary_entropy, binary_entropy_inv
 from .exponents import ExponentBound
 from .oracle import CubeFunction, noise_operator, p_norm
 
@@ -58,9 +59,14 @@ _RESIDUAL_LIMIT = 1e-9
 _STEP_TOL = 1e-11
 _MAX_STEPS = 1 << 20
 
-# Gauss-Legendre nodes per shot; test_hypercontractivity's mpmath
-# references hold q to 1e-12 relative with them.
-_QUAD_NODES = 48
+# Gauss-Legendre nodes per panel, two panels per shot; test_hypercontractivity's
+# mpmath references hold q to 1e-12 relative with them.
+_PANEL_NODES = 24
+
+# The panel in v = ln(2y) starts at most this many e-folds of y below its
+# upper end y_m: the part of t it drops is below e^-32 y_m (ln(1/y) + 1),
+# while a longer panel would lose more than that to the rule's error.
+_TAIL_SPAN = 32.0
 
 # Longest t the step-halving solve_u accepts.  Once u(t) >= a + 2t nears
 # 90, summed roundoff keeps successive passes from agreeing to _STEP_TOL:
@@ -134,7 +140,8 @@ def solve_u(a: float, b: float, t: float, *, steps: int | None = None) -> float:
     tolerance is out of reach.
     """
     _check_range("time", t, 0.0, math.inf, hi_open=True)
-    _check_range("a", a, -math.inf, math.inf, lo_open=True, hi_open=True)
+    # Below -ln(max float), e^-a and so C's argument would overflow.
+    _check_range("a", a, -math.log(sys.float_info.max), math.inf, hi_open=True)
     _check_range("b", b, -math.inf, math.inf, lo_open=True, hi_open=True)
     initial = b * (1.0 + math.exp(-a))
     if not -C_DOMAIN_TOL <= initial <= LN2 + C_DOMAIN_TOL:
@@ -175,7 +182,8 @@ class HcSolution:
     since u' <= 2/ln 2; ``evaluations`` counts the shots, each one
     quadrature of the time integral t(a) (the two bracket ends plus the
     root iterations, the last of which gives the residual); ``steps``
-    counts the C evaluations across them, _QUAD_NODES per shot.
+    counts the integrand evaluations across them, two panels of
+    _PANEL_NODES per shot.
     """
 
     t: float
@@ -192,7 +200,7 @@ class HcSolution:
 
     @property
     def steps(self) -> int:
-        return self.evaluations * _QUAD_NODES
+        return self.evaluations * 2 * _PANEL_NODES
 
     def __post_init__(self) -> None:
         if self.residual > _RESIDUAL_LIMIT:
@@ -254,28 +262,57 @@ def _brent_root(
 
 @functools.cache
 def _quad_rule() -> tuple[tuple[float, float], ...]:
-    """Gauss-Legendre nodes and weights on [-1, 1] for one shot's time
-    integral, built on first use: importing the package skips numpy's
+    """Gauss-Legendre nodes and weights on [-1, 1] for one panel of a
+    shot, built on first use: importing the package skips numpy's
     polynomial module and the eigensolve behind it."""
-    nodes, weights = np.polynomial.legendre.leggauss(_QUAD_NODES)
+    nodes, weights = np.polynomial.legendre.leggauss(_PANEL_NODES)
     return tuple(zip(nodes.tolist(), weights.tolist()))
 
 
-def _shot_time(alpha: float, a: float, target: float) -> float:
-    """t(a) = integral from a to target of du / C(b(1 + e^-u)), by the
-    Gauss-Legendre rule in s, where u = u* + R s^2 (see `solve_q`)."""
+def _pole_free(x: float, two_y: float, ln_two_y: float, b: float, inv_c_b: float) -> float:
+    """atanh(x) (1/C(lam) - 1/C(b)) / (lam - b) at x = 1 - 2y, where
+    lam = ln 2 (1 - h(y)) and 1/C(lam) = lam / D; the caller passes
+    2y = 1 - x and ln(2y) to full relative precision, so nothing below
+    cancels as y -> 0 or y -> 1/2."""
+    log_1px = math.log1p(x)
+    atanh_x = 0.5 * (log_1px - ln_two_y)
+    if x < 0.5:
+        lam = x * atanh_x + 0.5 * math.log1p(-x * x)
+    else:
+        lam = log_1px - two_y * atanh_x
+    # Only a shot whose whole lam range lies within rounding of b puts a
+    # node here, and its remainder is of the order of that rounding.
+    if lam <= b:
+        return 0.0
+    d = 2.0 * x * x / (1.0 + math.sqrt(two_y * (1.0 + x)))
+    return atanh_x * (lam / d - inv_c_b) / (lam - b)
+
+
+def _shot_time(alpha: float, a: float, target: float, y_a: float) -> float:
+    """t(a) = (U - a) / C(b) plus the pole-free integral over y in
+    [y_a, y_U], by one Gauss-Legendre panel in v = ln(2y) and one linear
+    in y (see `solve_q`); y_a = h^-1(alpha)."""
     b = (1.0 - alpha) * LN2 / (1.0 + math.exp(-a))
-    # u* = ln(1 - alpha) - ln(alpha + e^-a) and a - u*, free of cancellation.
-    singular = math.log1p(-alpha) - math.log(alpha + math.exp(-a))
-    span = target - singular
-    start = math.sqrt((math.log1p(alpha * math.exp(a)) - math.log1p(-alpha)) / span)
-    mid, half = 0.5 * (1.0 + start), 0.5 * (1.0 - start)
-    total = 0.0
-    for x, w in _quad_rule():
-        s = mid + half * x
-        u = singular + span * s * s
-        total += w * s / c_function(b * (1.0 + math.exp(-u)))
-    return 2.0 * span * half * total
+    inv_c_b = 1.0 / c_function(b)
+    # h(y_U) = 1 - b (1 + e^-U) / ln 2, written free of cancellation.
+    y_u = binary_entropy_inv(
+        alpha - (1.0 - alpha) * math.expm1(a - target) / (1.0 + math.exp(a))
+    )
+    # The floor only keeps ln(2 y_m) finite when y_U rounds to 0.
+    y_m = max(math.sqrt(y_a * y_u), 0.25 * y_u, sys.float_info.min)
+    v_m = math.log(2.0 * y_m)
+    v_lo = math.log(2.0 * max(y_a, y_m * math.exp(-_TAIL_SPAN)))
+    mid, half = 0.5 * (v_m + v_lo), 0.5 * (v_m - v_lo)
+    near_zero = 0.0
+    for z, w in _quad_rule():
+        v = mid + half * z
+        two_y = math.exp(v)
+        near_zero += w * two_y * _pole_free(-math.expm1(v), two_y, v, b, inv_c_b)
+    near_pole = 0.0
+    for z, w in _quad_rule():
+        two_y = y_m + y_u + (y_u - y_m) * z
+        near_pole += w * _pole_free(1.0 - two_y, two_y, math.log(two_y), b, inv_c_b)
+    return (target - a) * inv_c_b + half * near_zero + (y_u - y_m) * near_pole
 
 
 def solve_q(alpha: float, q0: float, t: float) -> HcSolution:
@@ -289,23 +326,38 @@ def solve_q(alpha: float, q0: float, t: float) -> HcSolution:
         t(a) = integral_a^U du / C(b(1 + e^-u)),
 
     and the solve is the root of t(a) = t.  Along the path lam falls from
-    (1 - alpha) ln 2 at u = a to b q0 / (q0 - 1) > b at u = U, so it stays
-    in (b, (1 - alpha) ln 2], inside C's domain, for every t.  Since
-    2 <= C <= 2/ln 2, (U - a) ln 2 / 2 <= t(a) <= (U - a) / 2: the root
-    lies in [U - 2t/ln 2, U - 2t] for every t > 0, and it is unique since
-    t(a) decreases in a.  Brent's method runs on that bracket.
+    lam_a = (1 - alpha) ln 2 at u = a to lam_U = b q0 / (q0 - 1) > b at
+    u = U, so it stays in (b, lam_a], inside C's domain, for every t.
+    Since 2 <= C <= 2/ln 2, (U - a) ln 2 / 2 <= t(a) <= (U - a) / 2: the
+    root lies in [U - 2t/ln 2, U - 2t] for every t > 0, and it is unique
+    since t(a) decreases in a.  Brent's method runs on that bracket.
 
-    Near lam = ln 2, C departs from 2/ln 2 like -sqrt(ln 2 - lam), up to
-    a logarithmic factor.  lam reaches ln 2 at
-    u* = -ln(ln 2/b - 1) = ln(1 - alpha) - ln(alpha + e^-a) < a, and
-    ln 2 - lam grows linearly in u - u* there.  The substitution
-    u = u* + R s^2, R = U - u*, makes it quadratic in s, so the square
-    root turns linear and the integrand 2 R s / C has no branch point on
-    [s_a, 1], s_a^2 = (a - u*)/R.  Each shot is one fixed 48-node
-    Gauss-Legendre rule; against 30-digit mpmath references q agrees to
-    1e-12 relative.  `solve_u` (RK4) stays as the independent cross-check.
+    Each shot integrates in C's own parameter y in [0, 1/2], with
+    x = 1 - 2y: lam = ln 2 (1 - h(y)) = x atanh x + ln(1 - x^2) / 2 and
+    C = D / lam, D = 2 - 4 sqrt(y(1 - y)) = 2x^2 / (1 + sqrt(1 - x^2)).
+    Since dlam/dx = atanh x and du = -dlam / (lam - b),
 
-    t = 0 returns q = q0 exactly; q(t) decreases in t.  A t with
+        t(a) = integral_{x_U}^{x_a} atanh(x) lam / ((lam - b) D) dx,
+
+    where lam(x_a) = lam_a, so y_a = h^-1(alpha) serves every shot, and
+    lam(x_U) = lam_U.  The pole at lam = b lies just below x_U when q0 is
+    large or b is small.  Writing lam / D = 1/C(b) + (1/C(lam) - 1/C(b))
+    splits it off exactly: the first part integrates to
+    ln((lam_a - b) / (lam_U - b)) / C(b) = (U - a) / C(b), and the rest,
+    atanh(x) (1/C(lam) - 1/C(b)) / (lam - b), is bounded on [x_U, x_a].
+    Its one singular point near the path is y = 0, where atanh, lam and D
+    carry ln y and sqrt y.  Two 24-node Gauss-Legendre panels take it,
+    split at y_m = max(sqrt(y_a y_U), y_U / 4): one in v = ln(2y) on
+    [y_a, y_m], which sends y = 0 to -inf and turns y^k ln y into
+    polynomials times exponentials in v, and one linear in y on
+    [y_m, y_U], which keeps y = 0 at least a third of its length away.  A
+    shot inverts the entropy twice, for y_U and inside C(b); every node is
+    explicit.  q agrees with 30-digit mpmath references to a few parts in
+    1e15, and the tests hold it to 1e-12.  `solve_u` (RK4) stays as the
+    independent cross-check.
+
+    t = 0 returns q = q0 exactly, and so does a t too small to move
+    ln(q0 - 1) - 2t off ln(q0 - 1); q(t) decreases in t.  A t with
     ln(q0 - 1) - 2t <= -53 ln 2 raises ValueError: q would round to 1.
     alpha = 0 is rejected: the drive would start exactly at the ln 2
     endpoint of C's domain.  Callers certifying a singleton should pass
@@ -325,14 +377,25 @@ def solve_q(alpha: float, q0: float, t: float) -> HcSolution:
             "rounds to 1 in double precision"
         )
 
-    if t == 0.0:
-        return HcSolution(t=0.0, alpha=alpha, q0=q0, a=target, q=q0, residual=0.0,
-                          evaluations=0)
+    lo, hi = target - 2.0 * t / LN2, target - 2.0 * t
+    if hi == target:
+        # The bracket's upper end is a = U itself, whose shot takes no time,
+        # so the miss is t and u' <= 2/ln 2 bounds the residual.
+        return HcSolution(t=t, alpha=alpha, q0=q0, a=target, q=q0,
+                          residual=2.0 * t / LN2, evaluations=0)
+
+    y_a = binary_entropy_inv(alpha)
+    # The inverse stops at an absolute 1e-13 in p, which leaves y_a up to 20%
+    # off for alpha near 1e-12; y_a ends the integral, where 1/C's square-root
+    # slope near lam = ln 2 amplifies that error.  From there two Newton steps
+    # on h(y) = alpha are in quadratic reach, and below y = 1/4, h' >= log2 3.
+    if 0.0 < y_a < 0.25:
+        for _ in range(2):
+            y_a -= (binary_entropy(y_a) - alpha) / math.log2((1.0 - y_a) / y_a)
 
     def miss(a: float) -> float:
-        return _shot_time(alpha, a, target) - t
+        return _shot_time(alpha, a, target, y_a) - t
 
-    lo, hi = target - 2.0 * t / LN2, target - 2.0 * t
     root, f_root, iterations = _brent_root(miss, lo, hi, miss(lo), miss(hi))
     shots = 2 + iterations
     return HcSolution(
@@ -393,6 +456,8 @@ def verify_hc_inequality(
     rate 1, outside the solver's domain, and raises ValueError: both
     sides equal 1 there for every q.
     """
+    _check_range("norm index", q0, 1.0, math.inf, lo_open=True, hi_open=True)
+    _check_range("time", t, 0.0, math.inf, hi_open=True)
     n = a_set.n
     if len(a_set) == 1 << n:
         raise ValueError(

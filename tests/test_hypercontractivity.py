@@ -14,6 +14,8 @@ import time
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import hyperrect.hypercontractivity as hc_module
 from hyperrect import (
@@ -350,36 +352,80 @@ class TestSolveQ:
             assert solve_q(alpha, q0, t).q == pytest.approx(bisection_q(alpha, q0, t), abs=1e-10)
 
     def test_root_finder_step_count(self):
-        # steps counts C evaluations, 48 per shot: 288 here, where RK4
-        # shooting needed 2680.
+        # steps counts integrand evaluations, two 24-node panels per shot:
+        # 288 here, where RK4 shooting made 2680 C evaluations.
         assert solve_q(0.5, 2.0, 0.1).steps <= 400
 
     def test_evaluations_count_the_ode_solves(self, monkeypatch):
-        calls = []
+        # Each shot evaluates the pole-free integrand at 2 x 24 nodes and
+        # inverts the entropy twice, for y_U and for the pole inside C(b);
+        # y_a = h^-1(alpha) is inverted once per solve.
+        nodes, inversions, c_calls = [], [], []
+        real_node = hc_module._pole_free
+        real_inv = hc_module.binary_entropy_inv
         real_c = hc_module.c_function
 
-        def counted(lam):
-            calls.append(lam)
+        def counted_node(*args):
+            nodes.append(args)
+            return real_node(*args)
+
+        def counted_inv(y):
+            inversions.append(y)
+            return real_inv(y)
+
+        def counted_c(lam):
+            c_calls.append(lam)
             return real_c(lam)
 
-        monkeypatch.setattr(hc_module, "c_function", counted)
+        monkeypatch.setattr(hc_module, "_pole_free", counted_node)
+        monkeypatch.setattr(hc_module, "binary_entropy_inv", counted_inv)
+        monkeypatch.setattr(hc_module, "c_function", counted_c)
         sol = solve_q(0.5, 2.0, 0.1)
         # One quadrature per shot: the two bracket ends, then at least
         # one root iteration.
         assert 2 < sol.evaluations < 2 + 40
-        assert sol.steps == len(calls) == sol.evaluations * hc_module._QUAD_NODES
+        assert sol.steps == len(nodes) == sol.evaluations * 48
+        assert len(c_calls) == sol.evaluations
+        assert len(inversions) == 1 + 2 * sol.evaluations
         assert solve_q(0.5, 2.0, 0.0).evaluations == 0
+
+    def test_time_below_float_resolution_returns_q0(self):
+        # 2t vanishes against ln(q0 - 1), so the bracket is one point; its
+        # zero-length shot used to divide by zero.
+        sol = solve_q(1e-320, 1.5, 1e-320)
+        assert sol.q == 1.5
+        assert sol.evaluations == 0
+        assert sol.residual <= 1e-319
 
     @pytest.mark.parametrize(
         "alpha, q0, t",
         [(1e-9, 2.0, 0.05), (1e-5, 2.0, 0.05), (0.5, 2.0, 1e-5), (0.5, 2.0, 0.1),
          (0.3, 100.0, 0.2), (0.5, 2.0, -math.log(1e-3) / 2), (0.1, 100.0, 3.45),
-         (0.9999, 2.0, 0.5), (0.02, 8.0, 2.0), (0.5, 2.0, 5.0)],
+         (0.9999, 2.0, 0.5), (0.02, 8.0, 2.0), (0.5, 2.0, 5.0),
+         (1e-7, 2.0, 1.0), (0.12, 90.0, 3.1), (0.5, 1.01, 0.01)],
     )
     def test_matches_mpmath(self, alpha, q0, t):
         # The old fixed scan refused the three points with t > 2.5.
         sol = solve_q(alpha, q0, t)
         assert sol.q == pytest.approx(float(mpmath_q(alpha, q0, t, sol.a)), rel=1e-12)
+
+    def test_small_rate_large_norm_index_matches_mpmath(self):
+        # y_a = h^-1(alpha) ends the integral; the entropy inverse alone
+        # leaves it 6e-4 off at alpha = 1e-11, which q0 = 1e6 turned into
+        # a 1.1e-12 error in q.
+        alpha, q0, t = 1e-11, 1e6, 0.5
+        sol = solve_q(alpha, q0, t)
+        assert sol.q == pytest.approx(float(mpmath_q(alpha, q0, t, sol.a)), rel=1e-12)
+
+    @pytest.mark.parametrize(
+        "alpha, q0, t",
+        # lam - b within rounding at every node; y_U rounds to 0.
+        [(5e-324, 1e16, 0.5), (5e-324, 1.7e308, 1e-13)],
+    )
+    def test_degenerate_shots_solve(self, alpha, q0, t):
+        sol = solve_q(alpha, q0, t)
+        assert 1.0 < sol.q <= q0
+        assert sol.residual <= 1e-12
 
     def test_never_integrates_rk4(self, monkeypatch):
         def refuse(*args):
@@ -551,3 +597,70 @@ class TestIntegratorOrder:
         err_coarse = abs(solve_u(a, b, t, steps=32) - ref)
         err_fine = abs(solve_u(a, b, t, steps=64) - ref)
         assert err_coarse / err_fine >= 8.0
+
+
+# Values at and past the edges of every domain: NaN, +-inf, signed zeros,
+# subnormals, the ends of (0, 1) and (1, inf), and the float extremes.
+_HOSTILE = (math.nan, math.inf, -math.inf, 0.0, -0.0, 5e-324, -5e-324, 1e-320,
+            2.2250738585072014e-308, 1e-300, 1e-16, 0.5, 1.0 - 2**-53, 1.0,
+            1.0 + 2**-52, 2.0, LN2, LN2 + 1e-9, 31.0, 1e15, 1e300, -1.0,
+            1.7976931348623157e308, -1.7976931348623157e308)
+_VALUE = st.one_of(st.sampled_from(_HOSTILE), st.floats())
+# solve_u's step halving takes seconds on long valid drives; hostile times
+# still reach it through the pool, but random ones stay short.
+_SHORT_TIME = st.one_of(st.sampled_from(_HOSTILE), st.floats(0.0, 1.0))
+
+
+class TestHostileInput:
+    # Every public entry point either returns or raises ValueError; any
+    # other exception (overflow, division by zero, domain errors from the
+    # math module) fails here.
+
+    @settings(max_examples=300, deadline=None, derandomize=True,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(_VALUE, _VALUE, _VALUE)
+    def test_solve_q(self, alpha, q0, t):
+        try:
+            sol = solve_q(alpha, q0, t)
+        except ValueError:
+            return
+        assert 1.0 < sol.q <= q0
+
+    @settings(max_examples=200, deadline=None, derandomize=True,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(_VALUE, _VALUE, _SHORT_TIME, st.sampled_from((None, 0, -1, 1, 7)))
+    def test_solve_u(self, a, b, t, steps):
+        try:
+            solve_u(a, b, t, steps=steps)
+        except ValueError:
+            pass
+
+    @settings(max_examples=300, deadline=None, derandomize=True,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(_VALUE, _VALUE)
+    def test_psi_bound(self, alpha, rho):
+        try:
+            psi = psi_bound(alpha, rho).value
+        except ValueError:
+            return
+        # 1 < q <= q0 = 2 puts psi = 2 (1 - alpha) / q in [1 - alpha, 2 (1 - alpha)).
+        assert 1.0 - alpha <= psi <= 2.0 * (1.0 - alpha)
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(_VALUE)
+    def test_c_function(self, lam):
+        try:
+            c = c_function(lam)
+        except ValueError:
+            return
+        assert 2.0 <= c <= 2.0 / LN2 + 1e-12
+
+    @settings(max_examples=200, deadline=None, derandomize=True,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(_VALUE, _VALUE, st.one_of(st.none(), _VALUE))
+    def test_verify_hc_inequality(self, q0, t, alpha):
+        a_set = CubeSet(3, (0, 5))
+        try:
+            verify_hc_inequality(a_set, q0, t, alpha)
+        except ValueError:
+            pass

