@@ -1,9 +1,9 @@
-"""From the exponent ODE to a certified norm inequality.
+"""From the exponent ODE to a checked norm inequality.
 
 Walks the hypercontractivity layer end to end: the coefficient function C
 on its domain, the shooting solve for the improved norm exponent q(t),
 the resulting upper bound psi on the decay exponent, and a direct
-numerical certificate of the norm inequality for a concrete set.
+numerical check of the norm inequality for a concrete set.
 """
 
 import math

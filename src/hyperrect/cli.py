@@ -154,17 +154,9 @@ def _cmd_hc(args) -> int:
 
 def _parse_axis(text: str) -> AxisSpec:
     name, _, rest = text.partition("=")
-    if not rest:
-        raise ValueError(f"expected name=start:stop:count[:log], got {text!r}")
-    parts = rest.split(":")
-    if len(parts) == 4 and parts[3] == "log":
-        spacing = "log"
-        parts = parts[:3]
-    elif len(parts) == 3:
-        spacing = "linear"
-    else:
-        raise ValueError(f"expected name=start:stop:count[:log], got {text!r}")
-    return AxisSpec(name, float(parts[0]), float(parts[1]), int(parts[2]), spacing)
+    grid = rest.removesuffix(":log")
+    spacing = "linear" if grid == rest else "log"
+    return AxisSpec(name, *_parse_range(grid), spacing)
 
 
 def _parse_param(text: str) -> tuple[str, float | str]:
@@ -240,7 +232,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="hyperrect",
         description=(
-            "Exponents and certified bounds for rectangle probabilities of "
+            "Exponents and bounds for rectangle probabilities of "
             "correlated binary strings"
         ),
     )

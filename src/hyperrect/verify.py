@@ -284,9 +284,9 @@ def suite_hc(seed: int = 0) -> list[CheckResult]:
                f"1001-point grid, convexity violation {convex_violation:.3e}")
 
     a0, b0, t0 = math.log(1.0), 0.3, 0.4
-    reference = hc.solve_u(a0, b0, t0, steps=4096)
-    coarse = abs(hc.solve_u(a0, b0, t0, steps=16) - reference)
-    fine = abs(hc.solve_u(a0, b0, t0, steps=32) - reference)
+    reference = hc._rk4(a0, b0, t0, 4096)
+    coarse = abs(hc._rk4(a0, b0, t0, 16) - reference)
+    fine = abs(hc._rk4(a0, b0, t0, 32) - reference)
     ratio = coarse / fine if fine > 0 else math.inf
     out.record("integrator_fourth_order", 8.0 <= ratio,
                f"error ratio per halving = {ratio:.1f} (expect ~16)")
