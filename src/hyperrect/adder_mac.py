@@ -13,8 +13,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .entropy import _INV_TOL, _check_range, binary_entropy, phi
-from .exponents import ExponentBound, _avgdist_from_phi, morss_lower_exponent
+from . import entropy
+from .entropy import _INV_TOL, _check_range, binary_entropy, star
+from .exponents import ExponentBound, _avgdist, _morss, _rho_logs
 
 __all__ = [
     "RatePair",
@@ -89,13 +90,21 @@ def _cap_crossing(total: float) -> float:
     return 0.5 * (lo + hi)
 
 
-def _zero_error_from_crossing(crossing: float, rho: float) -> tuple[float, float]:
-    """(exponent, d_opt) given the cap crossing of R1 + R2; see
-    `zero_error_upper_exponent` for the derivation."""
+def _zero_error_terms(rho: float) -> tuple[float, float, float, float]:
+    """The rho-only terms L, 2 - log2(1+rho), d* = 2(1-rho)/(3-rho), h(d*) + d* (1 + L)."""
     distance_log = math.log2((1.0 - rho) / (1.0 + rho))
-    d_opt = min(2.0 * (1.0 - rho) / (3.0 - rho), crossing)
-    peak = binary_entropy(d_opt) + d_opt * (1.0 + distance_log)
-    return 2.0 - math.log2(1.0 + rho) - peak, d_opt
+    d_star = 2.0 * (1.0 - rho) / (3.0 - rho)
+    free_peak = binary_entropy(d_star) + d_star * (1.0 + distance_log)
+    return distance_log, 2.0 - math.log2(1.0 + rho), d_star, free_peak
+
+
+def _zero_error_from_crossing(crossing: float, h_crossing: float, terms: tuple) -> tuple:
+    """(exponent, d_opt) from the cap crossing of R1 + R2, its entropy and the
+    rho terms; see `zero_error_upper_exponent` for the derivation."""
+    distance_log, prefactor, d_star, free_peak = terms
+    if crossing < d_star:
+        return prefactor - (h_crossing + crossing * (1.0 + distance_log)), crossing
+    return prefactor - free_peak, d_star
 
 
 def zero_error_upper_exponent(pair: RatePair, rho: float) -> ExponentBound:
@@ -119,7 +128,9 @@ def zero_error_upper_exponent(pair: RatePair, rho: float) -> ExponentBound:
     distance attaining the inner optimum.
     """
     _check_range("correlation", rho, 0.0, 1.0, hi_open=True)
-    value, d_opt = _zero_error_from_crossing(_cap_crossing(pair.total), rho)
+    crossing = _cap_crossing(pair.total)
+    h_crossing, terms = binary_entropy(crossing), _zero_error_terms(rho)
+    value, d_opt = _zero_error_from_crossing(crossing, h_crossing, terms)
     return ExponentBound(value, "zero_error_upper", d_opt=d_opt)
 
 
@@ -161,6 +172,10 @@ def feasibility_scan(
     default to the R1 grid.  Every grid must be nonempty inside (0, 1),
     the product of the three grid sizes at most `sweeps.MAX_GRID_POINTS`,
     and the margin finite and nonnegative.
+
+    Cost: the rho terms once per scan, h_inv once per distinct grid value
+    (phi is `star` of two), the cap crossing once per rate pair; the rho loop
+    is float arithmetic in the public exponents' order, so decisions match them.
     """
     # sweeps imports this module, so its budget is imported at call time.
     from .sweeps import _check_grid_budget
@@ -177,18 +192,17 @@ def feasibility_scan(
             _check_range(label, value, 0.0, 1.0, lo_open=True, hi_open=True)
     _check_range("margin", margin, 0.0, math.inf, hi_open=True)
     r2_descending = sorted(r2_values, reverse=True)
+    inverse = {v: entropy.binary_entropy_inv(v) for v in dict.fromkeys(r1_values + r2_values)}
+    rho_terms = [(rho, _rho_logs(rho), _zero_error_terms(rho)) for rho in rho_values]
 
     def excluded(r1: float, r2: float) -> bool:
-        # phi and the cap crossing do not depend on rho; the grids are
-        # already checked.
-        low = phi(r1, r2)
+        ca, cb = 1.0 - r1, 1.0 - r2
+        low = star(inverse[r1], inverse[r2])
         crossing = _cap_crossing(r1 + r2)
-        for rho in rho_values:
-            upper, _ = _zero_error_from_crossing(crossing, rho)
-            lower = min(
-                morss_lower_exponent(r1, r2, rho).value,
-                _avgdist_from_phi(r1, r2, rho, low).value,
-            )
+        h_crossing = binary_entropy(crossing)
+        for rho, logs, terms in rho_terms:
+            upper, _ = _zero_error_from_crossing(crossing, h_crossing, terms)
+            lower = min(_morss(ca, cb, rho), _avgdist(ca, cb, low, logs))
             if upper > lower + margin:
                 return True
         return False

@@ -224,11 +224,12 @@ def morss_lower_exponent(alpha: float, beta: float, rho: float) -> ExponentBound
     _check_range("alpha", alpha, 0.0, 1.0, lo_open=True)
     _check_range("beta", beta, 0.0, 1.0, lo_open=True)
     _check_range("correlation", rho, 0.0, 1.0, hi_open=True)
-    ca, cb = 1.0 - alpha, 1.0 - beta
-    return ExponentBound(
-        (ca + cb + 2.0 * rho * math.sqrt(ca * cb)) / (1.0 - rho * rho),
-        "morss_lower",
-    )
+    return ExponentBound(_morss(1.0 - alpha, 1.0 - beta, rho), "morss_lower")
+
+
+def _morss(ca: float, cb: float, rho: float) -> float:
+    """The Morss exponent from ca = 1 - alpha and cb = 1 - beta."""
+    return (ca + cb + 2.0 * rho * math.sqrt(ca * cb)) / (1.0 - rho * rho)
 
 
 def avgdist_lower_exponent(alpha: float, beta: float, rho: float) -> ExponentBound:
@@ -243,17 +244,19 @@ def avgdist_lower_exponent(alpha: float, beta: float, rho: float) -> ExponentBou
     _check_range("alpha", alpha, 0.0, 1.0, lo_open=True)
     _check_range("beta", beta, 0.0, 1.0, lo_open=True)
     _check_range("correlation", rho, 0.0, 1.0, hi_open=True)
-    return _avgdist_from_phi(alpha, beta, rho, phi(alpha, beta))
+    value = _avgdist(1.0 - alpha, 1.0 - beta, phi(alpha, beta), _rho_logs(rho))
+    return ExponentBound(value, "avgdist_lower")
 
 
-def _avgdist_from_phi(
-    alpha: float, beta: float, rho: float, low: float
-) -> ExponentBound:
-    """`avgdist_lower_exponent` given low = phi(alpha, beta), for callers
-    that have checked the arguments and reuse phi across many rho."""
-    distance_log = math.log2((1.0 - rho) / (1.0 + rho)) if rho > 0.0 else 0.0
-    tail = -math.log2(1.0 - rho) + low * distance_log
-    return ExponentBound((1.0 - alpha) + (1.0 - beta) + tail, "avgdist_lower")
+def _rho_logs(rho: float) -> tuple[float, float]:
+    """The average-distance exponent's rho terms L = log2((1-rho)/(1+rho)), -log2(1-rho)."""
+    return math.log2((1.0 - rho) / (1.0 + rho)), -math.log2(1.0 - rho)
+
+
+def _avgdist(ca: float, cb: float, low: float, logs: tuple[float, float]) -> float:
+    """The average-distance exponent from 1 - alpha, 1 - beta, phi and `_rho_logs`."""
+    distance_log, neg_log = logs
+    return ca + cb + (neg_log + low * distance_log)
 
 
 def thm1_expansion(alpha: float, rho: float) -> ExponentBound:

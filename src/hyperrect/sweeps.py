@@ -150,10 +150,13 @@ class ResultTable:
         return tuple(row[index] for row in self.rows)
 
     def to_csv_text(self) -> str:
-        lines = [",".join(self.columns)]
-        for row in self.rows:
-            lines.append(",".join(_format_cell(cell) for cell in row))
-        return "\n".join(lines) + "\n"
+        """The header and one newline-ended line per row: str and int cells
+        (bool too) as str, others as repr(float(cell)).  A column formats a
+        repeated nonzero float once; zeros and cells not exactly float bypass
+        that memo, as 0.0 and -0.0, or 1, 1.0 and True, share a dict key."""
+        columns = [_format_column(cells) for cells in zip(*self.rows)]
+        body = map(",".join, zip(*columns)) if columns else [""] * len(self.rows)
+        return "\n".join([",".join(self.columns), *body]) + "\n"
 
     def write_csv(self, path) -> None:
         with open(path, "w", encoding="ascii", newline="\n") as handle:
@@ -165,6 +168,15 @@ def _format_cell(cell) -> str:
     if isinstance(cell, (str, int)):
         return str(cell)
     return repr(float(cell))
+
+
+def _format_column(cells) -> list[str]:
+    texts: dict[float, str] = {}
+    return [
+        (texts.get(cell) or texts.setdefault(cell, repr(cell)))
+        if type(cell) is float and cell else _format_cell(cell)
+        for cell in cells
+    ]
 
 
 def _van_tilborg_cap(d: float, r1: float, r2: float) -> float:
@@ -266,17 +278,18 @@ def run_sweep(spec: SweepSpec) -> ResultTable:
 def figure_phi_surface(grid_count: int) -> ResultTable:
     """The phi surface on the uniform [0,1]^2 grid (columns x, y, phi).
 
-    phi(x, y) = h_inv(x) * h_inv(y) under `star` is separable, so each
-    axis point is inverted once; the cells equal `entropy.phi` bit for bit
-    and the rows come in the same x-major order as the generic sweep.
+    phi(x, y) = h_inv(x) * h_inv(y) under `star` is separable, so each axis
+    point's factor 1 - 2 h_inv(p) is found once and each cell is `star`'s
+    own 0.5 (1 - fx fy): equal to `entropy.phi` bit for bit, in the same
+    x-major row order as the generic sweep.
     """
     _check_grid_budget("figure", grid_count * grid_count)
     points = AxisSpec("x", 0.0, 1.0, grid_count).points()
-    inverses = [entropy.binary_entropy_inv(p) for p in points]
+    factors = [1.0 - 2.0 * entropy.binary_entropy_inv(p) for p in points]
     rows = [
-        (x, y, entropy.star(rx, ry))
-        for x, rx in zip(points, inverses)
-        for y, ry in zip(points, inverses)
+        (x, y, 0.5 * (1.0 - fx * fy))
+        for x, fx in zip(points, factors)
+        for y, fy in zip(points, factors)
     ]
     return ResultTable(("x", "y", "phi"), rows)
 

@@ -15,6 +15,7 @@ import pytest
 
 import hyperrect.adder_mac as adder_mac_module
 import hyperrect.entropy as entropy_module
+import hyperrect.exponents as exponents_module
 from hyperrect import (
     FeasibilityFrontier,
     RatePair,
@@ -197,7 +198,7 @@ class TestFeasibilityScan:
     def test_over_budget_rejected_before_scanning(self):
         # 10**4 points per grid, 10**12 (R1, R2, rho) triples in all.
         grid = [(i + 1) / (10**4 + 1) for i in range(10**4)]
-        with mock.patch.object(adder_mac_module, "phi", side_effect=AssertionError):
+        with mock.patch.object(entropy_module, "binary_entropy_inv", side_effect=AssertionError):
             with pytest.raises(ValueError, match="budget"):
                 feasibility_scan(grid, grid, grid)
             with pytest.raises(ValueError, match="budget"):
@@ -257,6 +258,25 @@ class TestFeasibilityScan:
             feasibility_scan([0.3], [i / 11 for i in range(1, 11)], r2_grid=[0.2])
         assert spy.call_count == 1
 
+    def test_inverts_once_per_distinct_grid_value(self):
+        # A 3 x 3 scan over ten rhos; 0.6 is in both grids.
+        r1, r2 = [0.3, 0.6, 0.9], [0.5, 0.6, 0.95]
+        inverse = entropy_module.binary_entropy_inv
+        with mock.patch.object(entropy_module, "binary_entropy_inv", wraps=inverse) as spy:
+            feasibility_scan(r1, [i / 11 for i in range(1, 11)], r2_grid=r2)
+        assert spy.call_count <= len(set(r1 + r2))
+
+    def test_builds_no_exponent_bound(self):
+        # The rho loop is float arithmetic: no public exponent runs, so no
+        # ExponentBound is built and no range check repeats.
+        morss = exponents_module.morss_lower_exponent
+        with mock.patch.object(exponents_module, "morss_lower_exponent", wraps=morss) as spy:
+            with mock.patch.object(
+                exponents_module.ExponentBound, "__post_init__", side_effect=AssertionError
+            ):
+                feasibility_scan([0.3, 0.6, 0.9], [i / 11 for i in range(1, 11)])
+        assert spy.call_count == 0
+
     def test_grid_refinement_stability(self):
         # Doubling the r2 grid density moves the frontier at most one
         # coarse step at each shared r1.
@@ -299,6 +319,64 @@ class TestFeasibilityScan:
         frontier = self.make_scan(m=3, rho_points=10)
         assert isinstance(frontier, FeasibilityFrontier)
         assert len(frontier.r2_max) == len(frontier.r1_values) == 3
+
+
+def restated_frontier(r1_grid, rho_grid, r2_grid, margin):
+    """The documented exclusion rule through the public exponents: for each
+    R1 the largest R2 with no rho where the zero-error exponent exceeds
+    min(morss, avgdist) + margin."""
+
+    def excluded(r1, r2):
+        for rho in rho_grid:
+            upper = zero_error_upper_exponent(RatePair(r1, r2), rho).value
+            lower = min(
+                morss_lower_exponent(r1, r2, rho).value,
+                avgdist_lower_exponent(r1, r2, rho).value,
+            )
+            if upper > lower + margin:
+                return True
+        return False
+
+    return tuple(
+        max((r2 for r2 in r2_grid if not excluded(r1, r2)), default=None)
+        for r1 in r1_grid
+    )
+
+
+class TestScanMatchesPublicExponents:
+    """Seeded random grids, including rho within 1e-9 of 0 and 1e-6 of 1,
+    R1 + R2 >= 3/2 (where the cap crossing is 1/2) and margin 0: the scan's
+    hoisted arithmetic must reach the decisions of the public exponents."""
+
+    @staticmethod
+    def draw_grids(seed):
+        rng = random.Random(seed)
+        rho = [rng.uniform(0.0, 1.0) for _ in range(3)]
+        rho += [10.0 ** -rng.uniform(1, 9), 1.0 - 10.0 ** -rng.uniform(1, 6)]
+        rho += [1e-9, 1.0 - 1e-6][: rng.randint(0, 2)]
+        r1 = [rng.uniform(0.01, 0.999) for _ in range(rng.randint(1, 5))]
+        if rng.random() < 0.3:
+            r2 = None
+        else:
+            r2 = [rng.uniform(0.5, 0.999) for _ in range(rng.randint(1, 6))]
+            r2 += rng.sample(r1, 1)
+        margin = rng.choice([0.0, 1e-9, rng.uniform(0.0, 0.1)])
+        return r1, rng.sample(rho, len(rho)), r2, margin
+
+    def test_random_grids(self):
+        decisions = set()
+        for seed in range(40):
+            r1, rho, r2, margin = self.draw_grids(seed)
+            frontier = feasibility_scan(r1, rho, r2_grid=r2, margin=margin)
+            r2_grid = r1 if r2 is None else r2
+            expected = restated_frontier(r1, rho, r2_grid, margin)
+            assert frontier.r2_max == expected, seed
+            decisions.update(
+                "none" if best is None else "top" if best == max(r2_grid) else "inside"
+                for best in expected
+            )
+        # The grids reach every kind of outcome, so a wrong decision shows.
+        assert decisions == {"none", "top", "inside"}
 
 
 class TestFrontierPinned:

@@ -5,6 +5,7 @@ values are cross-checked against direct library calls, since the CLI is
 a thin wrapper that must introduce no numerics of its own.
 """
 
+import hashlib
 import json
 import math
 import time
@@ -416,6 +417,41 @@ class TestFigureCommand:
         lines = out_path.read_text().splitlines()
         assert lines[0] == "x,y,phi"
         assert len(lines) == 26
+
+
+class TestGoldenOutput:
+    """sha256 of whole CSV outputs, recorded before the scan and the CSV
+    writer were restructured; any change to a byte of them fails here."""
+
+    @pytest.mark.parametrize(
+        "argv, digest, lines",
+        [
+            (
+                ["figure", "--grid-count", "201"],
+                "8d332a4924a3bf907798ee9ce7ca405e6939c33a4ecc013fe02a07d6e0c123bd",
+                40402,
+            ),
+            (
+                ["scan", "--r1", "0.2:0.999:30", "--rho", "0.0125:0.9875:79"],
+                "bb1889fda2307e6c90d6cc30a44fad816492a3900bd6aa304a8fa3e77807ce6a",
+                31,
+            ),
+            (
+                [
+                    "sweep", "--op", "sphere_exponent", "--axis", "alpha=0.1:0.9:12",
+                    "--axis", "rho=0.1:0.9:12", "--param", "beta=alpha",
+                ],
+                "a136b9e16b857277b2e4763b2ec0938724ea6065ac959cd7991d84cf4a6b6e74",
+                145,
+            ),
+        ],
+        ids=["figure", "scan", "sweep"],
+    )
+    def test_csv_digest(self, capsys, argv, digest, lines):
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 0
+        assert out.count("\n") == lines
+        assert hashlib.sha256(out.encode("ascii")).hexdigest() == digest
 
 
 class TestScanCommand:

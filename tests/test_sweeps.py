@@ -1,6 +1,7 @@
 """Tests for grid sweeps, the surface table, and convergence studies."""
 
 import math
+import random
 import threading
 from unittest import mock
 
@@ -23,6 +24,14 @@ from hyperrect import (
     thm1_expansion,
 )
 from hyperrect.sweeps import MAX_GRID_POINTS, OPERATIONS, _format_cell
+
+
+def reference_csv(table):
+    """The CSV text as one `_format_cell` call per cell, row by row."""
+    lines = [",".join(table.columns)]
+    for row in table.rows:
+        lines.append(",".join(_format_cell(cell) for cell in row))
+    return "\n".join(lines) + "\n"
 
 
 class TestAxisSpec:
@@ -265,6 +274,50 @@ class TestResultTable:
         table = ResultTable(("v",), ((value,),))
         rendered = table.to_csv_text().splitlines()[1]
         assert float(rendered) == value
+
+    # The column-wise writer must print exactly what formatting every cell
+    # on its own does; these tables hold the cells a per-column memo could
+    # confuse: equal keys that print differently, NaNs, numpy scalars.
+    @pytest.mark.parametrize(
+        "columns, rows",
+        [
+            (("a", "b"), ((0.0, -0.0), (-0.0, 0.0), (0.0, 0.0), (-0.0, -0.0))),
+            (("v",), ((1,), (1.0,), (True,), (1.0,), (1,), (False,), (0,), (0.0,), (True,))),
+            (("v", "w"), ((math.nan, math.inf), (math.nan, NEG_INF), (float("nan"), math.inf))),
+            (
+                ("v",),
+                ((np.float64(0.25),), (0.25,), (np.int64(3),), (3,), (3.0,), (np.float64(-0.0),)),
+            ),
+            (("s", "v"), (("x", 0.1), ("x", 0.1), ("0.1", 1e-300), ("y", -0.1))),
+            (("a", "b"), ()),
+            ((), ((), ())),
+        ],
+        ids=["signed-zeros", "int-float-bool", "nan-inf", "numpy", "strings", "no-rows", "no-columns"],
+    )
+    def test_csv_matches_cell_by_cell(self, columns, rows):
+        table = ResultTable(columns, rows)
+        assert table.to_csv_text() == reference_csv(table)
+
+    def test_memo_edge_cases_spelled_out(self):
+        zeros = ResultTable(("a", "b"), ((0.0, -0.0), (-0.0, 0.0)))
+        assert zeros.to_csv_text() == "a,b\n0.0,-0.0\n-0.0,0.0\n"
+        mixed = ResultTable(("v",), ((1.0,), (1,), (True,)))
+        assert mixed.to_csv_text() == "v\n1.0\n1\nTrue\n"
+        assert ResultTable((), ((), ())).to_csv_text() == "\n\n\n"
+        assert ResultTable(("a",), ()).to_csv_text() == "a\n"
+
+    def test_random_tables_match_cell_by_cell(self):
+        rng = random.Random(25)
+        pool = [0.0, -0.0, 1, 1.0, True, False, 0, math.nan, math.inf, NEG_INF,
+                np.float64(0.5), np.int64(-2), "s", 0.1, -0.1, 1e-300]
+        for _ in range(200):
+            width, height = rng.randint(0, 4), rng.randint(0, 6)
+            cells = pool + [rng.uniform(-1.0, 1.0) for _ in range(3)]
+            rows = tuple(
+                tuple(rng.choice(cells) for _ in range(width)) for _ in range(height)
+            )
+            table = ResultTable(tuple(f"c{i}" for i in range(width)), rows)
+            assert table.to_csv_text() == reference_csv(table)
 
     def test_rectangular_enforced(self):
         with pytest.raises(ValueError):
