@@ -53,9 +53,14 @@ MAX_FUNCTION_DIM = 20
 DEFAULT_PAIR_BUDGET = 10**8
 
 
+def _is_int(value) -> bool:
+    """An int, and not a bool, although True == 1."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def _check_function_dim(n: int) -> None:
     """Dense storage takes 2^n entries; checked before they are allocated."""
-    if not isinstance(n, int) or isinstance(n, bool) or not 1 <= n <= MAX_FUNCTION_DIM:
+    if not _is_int(n) or not 1 <= n <= MAX_FUNCTION_DIM:
         raise ValueError(f"dimension must lie in [1, {MAX_FUNCTION_DIM}], got {n!r}")
 
 
@@ -90,7 +95,7 @@ class CubeSet:
             raise ValueError("a cube set must be nonempty")
         top = 1 << self.n
         for m in members:
-            if not isinstance(m, int) or isinstance(m, bool):
+            if not _is_int(m):
                 raise ValueError(f"member {m!r} is not an int")
             if not 0 <= m < top:
                 raise ValueError(f"member {m} outside [0, 2^{self.n})")
@@ -115,8 +120,8 @@ class CubeSet:
     def sphere(cls, n: int, weight: int) -> "CubeSet":
         """Hamming sphere of the given weight around the all-zero point."""
         _check_function_dim(n)
-        if not 0 <= weight <= n:
-            raise ValueError(f"weight must lie in [0, {n}], got {weight}")
+        if not _is_int(weight) or not 0 <= weight <= n:
+            raise ValueError(f"weight must be an int in [0, {n}], got {weight!r}")
         members = tuple(
             sum(1 << j for j in positions)
             for positions in combinations(range(n), weight)
@@ -144,7 +149,9 @@ class DistanceProfile:
     """Ordered-pair distance counts for a set pair: counts[k] = #{(a,b) : d(a,b)=k}.
 
     Counts are exact integers of length n+1 and must sum to |A| * |B|;
-    each set size is at most 2^n.
+    each set size is at most 2^n.  A count may be given as an int, a
+    numpy integer or a whole finite float; anything else, a fractional
+    float included, is a ValueError, never a truncated count.
     """
 
     n: int
@@ -153,9 +160,9 @@ class DistanceProfile:
     size_b: int
 
     def __post_init__(self) -> None:
-        if self.n < 1:
-            raise ValueError(f"dimension must be >= 1, got {self.n}")
-        counts = tuple(int(c) for c in self.counts)
+        if not _is_int(self.n) or self.n < 1:
+            raise ValueError(f"dimension must be an int >= 1, got {self.n!r}")
+        counts = tuple(map(_exact_count, self.counts))
         object.__setattr__(self, "counts", counts)
         if len(counts) != self.n + 1:
             raise ValueError(
@@ -163,8 +170,9 @@ class DistanceProfile:
             )
         if any(c < 0 for c in counts):
             raise ValueError("negative count")
-        if not (1 <= self.size_a <= 1 << self.n and 1 <= self.size_b <= 1 << self.n):
-            raise ValueError(f"set sizes {self.size_a}, {self.size_b} outside [1, 2^n = {1 << self.n}]")
+        top = 1 << self.n
+        if not all(_is_int(size) and 1 <= size <= top for size in (self.size_a, self.size_b)):
+            raise ValueError(f"set sizes {self.size_a!r}, {self.size_b!r} outside [1, 2^n = {top}]")
         if sum(counts) != self.size_a * self.size_b:
             raise ValueError(
                 f"counts sum to {sum(counts)}, expected |A||B| = "
@@ -181,6 +189,16 @@ class DistanceProfile:
         return Fraction(total, self.size_a * self.size_b)
 
 
+def _exact_count(count) -> int:
+    """A profile count as an int: ints and numpy integers (not bools), and
+    whole floats (never NaN or +-inf)."""
+    if isinstance(count, np.integer) or _is_int(count):
+        return int(count)
+    if isinstance(count, (float, np.floating)) and float(count).is_integer():
+        return int(count)
+    raise ValueError(f"count {count!r} is not a whole number")
+
+
 def _check_same_dim(a, b) -> None:
     if a.n != b.n:
         raise ValueError(f"dimension mismatch: {a.n} vs {b.n}")
@@ -191,23 +209,23 @@ def pair_distance_profile(a: CubeSet, b: CubeSet) -> DistanceProfile:
 
     counts[k] sums the XOR convolution (1_A * 1_B)(z) = #{(x, y) : x ^ y = z}
     over the z of weight k.  By the convolution theorem on the cube it is
-    the transform of the product of the two indicators' transforms, over 2^n.
+    the transform of the product of the two indicators' transforms, over 2^n:
+    three transforms of 2^n float64 entries that all stay exact integers
+    below 2^40, whatever the set sizes.
     """
     _check_same_dim(a, b)
     n = a.n
-    product = np.ones(1 << n, dtype=np.int64)
-    for s in (a, b):
-        indicator = np.zeros(1 << n, dtype=np.int64)
-        indicator[list(s.members)] = 1
-        product *= _fwht(indicator)
-    # Exact in int64: every entry of the last transform, at every level, is
-    # a signed sum of the products, so by Cauchy-Schwarz and Parseval at
-    # most 2^n sqrt(|A||B|) <= 2^40.  The level sums are integers of at most
-    # |A||B| <= 2^40, so bincount's float64 sum is exact too.
-    convolution = _fwht(product) >> n
+    product = _fwht(_indicator(a)) * _fwht(_indicator(b))
+    # Exact in float64: every value the last transform forms, in any
+    # summation order, is a signed sum of a subset of the products
+    # 1_A^(S) 1_B^(S), so by Cauchy-Schwarz and Parseval at most
+    # 2^n sqrt(|A||B|) <= 2^40 < 2^53 for n <= 20.  The level sums are
+    # integers of at most |A||B| <= 2^40 too; DistanceProfile refuses a
+    # count that is not whole.
+    convolution = _fwht(product) / (1 << n)
     levels = np.bitwise_count(np.arange(1 << n, dtype=np.uint64))
     counts = np.bincount(levels, weights=convolution, minlength=n + 1)
-    return DistanceProfile(n, tuple(int(c) for c in counts), len(a), len(b))
+    return DistanceProfile(n, counts.tolist(), len(a), len(b))
 
 
 def sphere_distance_profile(n: int, i: int, j: int) -> DistanceProfile:
@@ -220,10 +238,10 @@ def sphere_distance_profile(n: int, i: int, j: int) -> DistanceProfile:
     when j-i <= k <= j+i with j-i+k even, else 0.  The dataclass sum check
     doubles as a Vandermonde identity cross-check against C(n,i)*C(n,j).
     """
-    if not isinstance(n, int) or n < 1:
+    if not _is_int(n) or n < 1:
         raise ValueError(f"dimension must be a positive int, got {n!r}")
-    if not 0 <= i <= j <= n:
-        raise ValueError(f"radii must satisfy 0 <= i <= j <= n, got i={i}, j={j}")
+    if not (_is_int(i) and _is_int(j) and 0 <= i <= j <= n):
+        raise ValueError(f"radii must be ints with 0 <= i <= j <= n, got i={i!r}, j={j!r}")
     counts = [0] * (n + 1)
     base = math.comb(n, i)
     for k in range(j - i, min(j + i, n) + 1):
@@ -294,7 +312,11 @@ def rectangle_prob_fraction(profile: DistanceProfile, rho) -> Fraction:
     Dyadic floats convert exactly; pass `Fraction` or a string like "1/3"
     for non-dyadic correlations.
     """
-    total = _kernel_sum(profile.counts, Fraction(rho))
+    try:
+        rho = Fraction(rho)
+    except (OverflowError, TypeError):
+        raise ValueError(f"correlation must be a finite rational, got {rho!r}") from None
+    total = _kernel_sum(profile.counts, rho)
     if total > 1:
         raise ValueError(f"P = {total} > 1: {_UNREALIZABLE}")
     return total
@@ -342,9 +364,7 @@ class CubeFunction:
 
     @classmethod
     def indicator(cls, s: CubeSet) -> "CubeFunction":
-        values = np.zeros(1 << s.n)
-        values[list(s.members)] = 1.0
-        return cls(s.n, values)
+        return cls(s.n, _indicator(s))
 
     @classmethod
     def constant(cls, n: int, c: float) -> "CubeFunction":
@@ -355,19 +375,31 @@ class CubeFunction:
         return float(self.values.mean())
 
 
-def _fwht(values: np.ndarray) -> np.ndarray:
-    """Unnormalized Walsh-Hadamard transform; self-inverse up to 2^n.
+def _indicator(s: CubeSet) -> np.ndarray:
+    values = np.zeros(1 << s.n)
+    values[list(s.members)] = 1.0
+    return values
 
-    Butterflies in place on a copy, in the input's dtype: exact on int64
-    while no partial sum overflows."""
-    out = values.copy()
-    h = 1
-    while h < out.size:
-        pairs = out.reshape(-1, 2, h)
-        top = pairs[:, 0, :].copy()
-        pairs[:, 0, :] += pairs[:, 1, :]
-        np.subtract(top, pairs[:, 1, :], out=pairs[:, 1, :])
-        h *= 2
+
+# Sylvester-Hadamard H_16 = H_2 (x) H_2 (x) H_2 (x) H_2: entry (i, j) is
+# (-1)^|i & j|, and its top-left 2^k x 2^k block is H_{2^k}.
+_H16 = 1.0 - 2.0 * (np.bitwise_count(np.arange(16)[:, None] & np.arange(16)) & 1)
+
+
+def _fwht(values: np.ndarray) -> np.ndarray:
+    """Unnormalized Walsh-Hadamard transform of 2^n entries, n >= 1;
+    self-inverse up to 2^n.  Returns a new float64 array.
+
+    A pass transforms the k <= 4 lowest coordinates at once: it views the
+    vector as a 2^(n-k) x 2^k matrix X and forms H_{2^k} X^T, which also
+    rotates those coordinates to the top.  After ceil(n/4) passes every
+    coordinate is transformed and back in place.  Integer input stays
+    exact while every partial sum is below 2^53."""
+    out = values
+    n = values.size.bit_length() - 1
+    for done in range(0, n, 4):
+        width = 1 << min(4, n - done)
+        out = (_H16[:width, :width] @ out.reshape(-1, width).T).ravel()
     return out
 
 
@@ -375,18 +407,23 @@ def noise_operator(f: CubeFunction, rho: float) -> CubeFunction:
     """Noise operator T_rho: Fourier level k is damped by rho^k.
 
     (T_rho f)(x) = E[f(Y) | X = x] for the rho-correlated pair.  Computed
-    by a Walsh-Hadamard transform, levelwise damping, and a transform back.
+    by a Walsh-Hadamard transform, levelwise damping read from a table of
+    rho^0..rho^n, and a transform back.
     """
     _check_range("correlation", rho, 0.0, 1.0)
     coeffs = _fwht(f.values)
     levels = np.bitwise_count(np.arange(coeffs.size, dtype=np.uint64))
-    coeffs *= np.float64(rho) ** levels
+    coeffs *= np.take(np.float64(rho) ** np.arange(f.n + 1), levels)
     return CubeFunction(f.n, _fwht(coeffs) / coeffs.size)
 
 
 def p_norm(f: CubeFunction, p: float) -> float:
     """Norm (E|f|^p)^(1/p) under the uniform measure; requires finite p >= 1."""
     _check_range("norm index", p, 1.0, math.inf, hi_open=True)
+    try:
+        p = float(p)
+    except OverflowError:
+        raise ValueError(f"norm index {p!r} exceeds the float range") from None
     return float(np.mean(np.abs(f.values) ** p) ** (1.0 / p))
 
 

@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import hyperrect.oracle as oracle_module
@@ -50,6 +50,36 @@ def brute_profile(a: CubeSet, b: CubeSet) -> tuple:
         for y in b.members:
             counts[bin(x ^ y).count("1")] += 1
     return tuple(counts)
+
+
+def butterfly_fwht(values: np.ndarray) -> np.ndarray:
+    """The transform as n butterfly passes on a copy, in the input's dtype."""
+    out = values.copy()
+    h = 1
+    while h < out.size:
+        pairs = out.reshape(-1, 2, h)
+        top = pairs[:, 0, :].copy()
+        pairs[:, 0, :] += pairs[:, 1, :]
+        np.subtract(top, pairs[:, 1, :], out=pairs[:, 1, :])
+        h *= 2
+    return out
+
+
+def butterfly_profile(a: CubeSet, b: CubeSet) -> tuple:
+    """The distance profile by int64 butterflies, summed level by level in int64."""
+    n = a.n
+    product = np.ones(1 << n, dtype=np.int64)
+    for s in (a, b):
+        indicator = np.zeros(1 << n, dtype=np.int64)
+        indicator[list(s.members)] = 1
+        product *= butterfly_fwht(indicator)
+    convolution = butterfly_fwht(product) >> n
+    levels = np.bitwise_count(np.arange(1 << n, dtype=np.uint64))
+    return tuple(int(convolution[levels == k].sum()) for k in range(n + 1))
+
+
+def numpy_set(gen, n, size):
+    return CubeSet(n, tuple(gen.permutation(1 << n)[:size].tolist()))
 
 
 class TestCubeSet:
@@ -160,8 +190,23 @@ class TestPairDistanceProfile:
         counts = pair_distance_profile(full, full).counts
         assert counts == tuple(math.comb(20, k) << 20 for k in range(21))
 
+    @pytest.mark.parametrize("n", [10, 14, 16, 20])
+    def test_matches_int64_butterflies(self, n):
+        # The float64 transforms stay exact integers, so every count equals
+        # the int64 butterfly route's, dense halves of the cube included.
+        # At n = 20, where the reference takes about 1 s a pair, only the
+        # two dense halves.
+        gen = np.random.default_rng(n)
+        half = 1 << (n - 1)
+        sizes = [(half, half)]
+        if n < 20:
+            sizes += [(1, half)] + [gen.integers(1, 1 << n, size=2, endpoint=True) for _ in range(3)]
+        for size_a, size_b in sizes:
+            a, b = numpy_set(gen, n, size_a), numpy_set(gen, n, size_b)
+            assert pair_distance_profile(a, b).counts == butterfly_profile(a, b)
+
     def test_peak_memory(self):
-        # The transforms hold a few 2^n int64 arrays, whatever the set
+        # The transforms hold a few 2^n float64 arrays, whatever the set
         # sizes: n = 14 with 8192 x 8192 pairs stays under 2 MB.
         rng = random.Random(29)
         a, b = random_set(rng, 14, 8192), random_set(rng, 14, 8192)
@@ -184,6 +229,35 @@ class TestPairDistanceProfile:
         b = CubeSet.from_strings(2, ["00", "01", "10", "11"])
         p = pair_distance_profile(a, b)
         assert p.average_distance() == Fraction(1)
+
+
+class TestFwht:
+    @staticmethod
+    def sylvester(n):
+        h = np.array([[1]])
+        for _ in range(n):
+            h = np.kron(np.array([[1, 1], [1, -1]]), h)
+        return h
+
+    @pytest.mark.parametrize("n", range(1, 10))
+    def test_matches_sylvester_matrix(self, n):
+        # n = 1..9 covers every n mod 4, so every width of the last pass.
+        gen = np.random.default_rng(100 + n)
+        values = gen.integers(-50, 51, size=1 << n)
+        assert np.array_equal(oracle_module._fwht(values), self.sylvester(n) @ values)
+        real = gen.standard_normal(1 << n)
+        np.testing.assert_allclose(
+            oracle_module._fwht(real), self.sylvester(n) @ real, rtol=0, atol=1e-12 * (1 << n)
+        )
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 8, 13, 16])
+    def test_self_inverse_and_input_untouched(self, n):
+        gen = np.random.default_rng(200 + n)
+        values = gen.integers(-1000, 1001, size=1 << n).astype(np.float64)
+        kept = values.copy()
+        twice = oracle_module._fwht(oracle_module._fwht(values))
+        assert np.array_equal(values, kept)
+        assert np.array_equal(twice, values * (1 << n))
 
 
 class TestSphereDistanceProfile:
@@ -221,6 +295,35 @@ class TestSphereDistanceProfile:
         # verified inside the DistanceProfile constructor.
         p = sphere_distance_profile(10**4, 100, 200)
         assert sum(p.counts) == math.comb(10**4, 100) * math.comb(10**4, 200)
+
+
+class TestDistanceProfileCounts:
+    def test_fractional_counts_rejected(self):
+        # These used to be floored to (0, 0, 2), with P = 1/32 at rho = 1.
+        with pytest.raises(ValueError, match="0.9 is not a whole number"):
+            DistanceProfile(2, (0.9, 0.9, 2.9), 2, 1)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, 2.5, True, "2", None])
+    def test_non_integer_counts_rejected(self, bad):
+        with pytest.raises(ValueError, match="not a whole number"):
+            DistanceProfile(2, (0, 0, bad), 2, 1)
+
+    @pytest.mark.parametrize(
+        "counts",
+        [(0, 0, 2), (0.0, 0.0, 2.0), np.array([0, 0, 2]), np.array([0.0, 0.0, 2.0]),
+         (np.int8(0), np.uint64(0), np.float32(2.0))],
+    )
+    def test_whole_counts_become_ints(self, counts):
+        profile = DistanceProfile(2, counts, 2, 1)
+        assert profile.counts == (0, 0, 2)
+        assert all(type(c) is int for c in profile.counts)
+
+    @pytest.mark.parametrize(
+        "n, sizes", [("3", (1, 1)), (2.0, (1, 1)), (True, (1, 1)), (1, ("1", 1)), (1, (1, 1.0))]
+    )
+    def test_non_int_dimension_and_sizes_rejected(self, n, sizes):
+        with pytest.raises(ValueError):
+            DistanceProfile(n, (1, 0), *sizes)
 
 
 class TestRectangleProb:
@@ -436,6 +539,17 @@ class TestNoiseOperator:
                 total += f.values[x] * same ** (n - d) * (1 - same) ** d
             assert g.values[y] == pytest.approx(total, abs=1e-10)
 
+    @pytest.mark.parametrize("n", [1, 3, 6, 10, 14, 16])
+    def test_matches_butterfly_reference(self, n):
+        gen = np.random.default_rng(300 + n)
+        f = CubeFunction(n, gen.standard_normal(1 << n))
+        levels = np.bitwise_count(np.arange(1 << n, dtype=np.uint64))
+        for rho in [0.0, 0.25, 0.9, 1.0, gen.uniform()]:
+            coeffs = butterfly_fwht(f.values) * rho ** levels.astype(np.float64)
+            expected = butterfly_fwht(coeffs) / (1 << n)
+            got = noise_operator(f, rho).values
+            assert np.max(np.abs(got - expected)) <= 1e-12 * np.max(np.abs(expected))
+
     def test_dimension_cap(self):
         with pytest.raises(ValueError):
             CubeFunction(21, np.zeros(2**21))
@@ -595,3 +709,122 @@ def test_declared_numpy_floor_has_bitwise_count():
     match = re.search(r'"numpy>=(\d+)', text)
     assert match is not None
     assert int(match.group(1)) >= 2
+
+
+# Values at and past the edges of the oracle's domains.
+_HOSTILE = (math.nan, math.inf, -math.inf, 0.0, -0.0, 5e-324, 1e-300, 0.5,
+            1.0 - 2**-53, 1.0, 1.0 + 2**-52, 2.0, -1.0, 1e300, -1e300)
+_RHO = st.one_of(st.sampled_from(_HOSTILE), st.floats(), st.fractions(),
+                 st.integers(-3, 3))
+_INDEX = st.one_of(st.integers(-3, 64), st.booleans(), st.sampled_from(_HOSTILE),
+                   st.sampled_from(["1", 1.0, 1.5]))
+_PROFILE = sphere_distance_profile(6, 2, 3)
+
+
+class TestHostileInput:
+    # Every public entry point of the oracle either returns or raises
+    # ValueError; overflow and type errors from inside fail here.
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda: rectangle_prob_fraction(_PROFILE, float("inf")),
+            lambda: rectangle_prob_fraction(_PROFILE, None),
+            lambda: sphere_distance_profile(4, 1.0, 1),
+            lambda: sphere_distance_profile(4, True, 1),
+            lambda: sphere_distance_profile(True, 0, 1),
+            lambda: CubeSet.sphere(4, 1.5),
+            lambda: CubeSet.sphere(4, True),
+            lambda: p_norm(CubeFunction.constant(2, 0.5), 10**400),
+        ],
+        ids=["fraction-inf", "fraction-none", "sphere-float-radius", "sphere-bool-radius",
+             "sphere-bool-dim", "cube-sphere-float", "cube-sphere-bool", "p-norm-huge"],
+    )
+    def test_known_cases(self, call):
+        with pytest.raises(ValueError):
+            call()
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(_RHO)
+    def test_rectangle_prob(self, rho):
+        try:
+            log2_p = rectangle_prob(_PROFILE, rho)
+        except ValueError:
+            return
+        assert log2_p <= 0.0
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(_RHO)
+    def test_rectangle_prob_fraction(self, rho):
+        try:
+            p = rectangle_prob_fraction(_PROFILE, rho)
+        except ValueError:
+            return
+        assert 0 <= p <= 1
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(_INDEX, _INDEX, _INDEX)
+    def test_sphere_distance_profile(self, n, i, j):
+        # n stays at most 64: the profile has n + 1 entries, and no cap
+        # on n keeps a huge one from allocating them.
+        try:
+            profile = sphere_distance_profile(n, i, j)
+        except ValueError:
+            return
+        assert sum(profile.counts) == math.comb(n, i) * math.comb(n, j)
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(_INDEX, _INDEX)
+    def test_cube_sphere(self, n, weight):
+        try:
+            s = CubeSet.sphere(n, weight)
+        except ValueError:
+            return
+        assert len(s) == math.comb(n, weight)
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(_INDEX, st.lists(st.one_of(_INDEX, st.integers()), max_size=5), _INDEX, _INDEX)
+    def test_distance_profile(self, n, counts, size_a, size_b):
+        try:
+            profile = DistanceProfile(n, counts, size_a, size_b)
+        except ValueError:
+            return
+        assert all(type(c) is int and c >= 0 for c in profile.counts)
+        assert sum(profile.counts) == profile.size_a * profile.size_b
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(_INDEX, st.integers(1, 8), st.sampled_from(_HOSTILE))
+    def test_cube_function_constructors(self, n, size, value):
+        try:
+            CubeFunction(n, [value] * size)
+        except ValueError:
+            pass
+        try:
+            CubeFunction.constant(n, value)
+        except ValueError:
+            pass
+
+    @settings(max_examples=100, deadline=None, derandomize=True,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(
+        st.integers(1, 3).flatmap(
+            lambda n: st.lists(st.one_of(st.sampled_from(_HOSTILE), st.floats()),
+                               min_size=1 << n, max_size=1 << n)
+        ),
+        _RHO,
+        _RHO,
+    )
+    def test_cube_function_operators(self, values, rho, p):
+        try:
+            f = CubeFunction(len(values).bit_length() - 1, values)
+        except ValueError:
+            return
+        with np.errstate(all="ignore"):
+            try:
+                noise_operator(f, rho)
+            except ValueError:
+                pass
+            try:
+                p_norm(f, p)
+            except ValueError:
+                pass
