@@ -6,144 +6,29 @@ alpha = log2|A|/n and beta = log2|B|/n, the exponential decay rate of
 P[X in A, Y in B]: exact finite-n oracles, exact sphere-pair exponents,
 closed-form universal bounds, a support-aware hypercontractivity solver,
 and a zero-error adder-channel feasibility scanner built on top.
+
+Each module's ``__all__`` is the one list of its public names; the
+package exports all of them.
 """
 
-from .entropy import (
-    LN2,
-    NEG_INF,
-    binary_entropy,
-    binary_entropy_inv,
-    g_func,
-    log_binomial,
-    phi,
-    star,
-    v_func,
-)
-from .oracle import (
-    CubeFunction,
-    CubeSet,
-    DistanceProfile,
-    EnumerationBudgetError,
-    SetFileError,
-    complement_set,
-    inner_product,
-    noise_operator,
-    p_norm,
-    pair_distance_profile,
-    read_set_file,
-    rectangle_prob,
-    rectangle_prob_direct,
-    rectangle_prob_fraction,
-    sphere_distance_profile,
-    write_set_file,
-)
-from .exponents import (
-    BoundComparison,
-    ExponentBound,
-    avg_distance_bounds,
-    avgdist_lower_exponent,
-    compare_bounds,
-    feasible_distance_interval,
-    hct_upper_exponent,
-    morss_lower_exponent,
-    remark3_threshold,
-    rhct_lower_exponent,
-    sphere_exponent,
-    thm1_expansion,
-    thm2_expansion,
-    w_d,
-)
-from .hypercontractivity import (
-    DomainViolationError,
-    HcCertificate,
-    HcSolution,
-    c_function,
-    psi_bound,
-    solve_q,
-    solve_u,
-    verify_hc_inequality,
-)
-from .adder_mac import (
-    FeasibilityFrontier,
-    RatePair,
-    feasibility_scan,
-    van_tilborg_wd_cap,
-    zero_error_upper_exponent,
-)
-from .sweeps import (
-    AxisSpec,
-    ResultTable,
-    SweepError,
-    SweepSpec,
-    convergence_study,
-    figure_phi_surface,
-    run_sweep,
-)
-from .verify import CheckResult, run_suites
+from .entropy import *
+from .oracle import *
+from .exponents import *
+from .hypercontractivity import *
+from .adder_mac import *
+from .sweeps import *
+from .verify import *
+from . import adder_mac, entropy, exponents, hypercontractivity, oracle, sweeps, verify
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "LN2",
-    "NEG_INF",
-    "binary_entropy",
-    "binary_entropy_inv",
-    "star",
-    "phi",
-    "log_binomial",
-    "v_func",
-    "g_func",
-    "CubeSet",
-    "CubeFunction",
-    "DistanceProfile",
-    "SetFileError",
-    "EnumerationBudgetError",
-    "pair_distance_profile",
-    "sphere_distance_profile",
-    "rectangle_prob",
-    "rectangle_prob_fraction",
-    "rectangle_prob_direct",
-    "noise_operator",
-    "p_norm",
-    "inner_product",
-    "complement_set",
-    "read_set_file",
-    "write_set_file",
-    "ExponentBound",
-    "BoundComparison",
-    "w_d",
-    "feasible_distance_interval",
-    "sphere_exponent",
-    "hct_upper_exponent",
-    "rhct_lower_exponent",
-    "morss_lower_exponent",
-    "avgdist_lower_exponent",
-    "thm1_expansion",
-    "thm2_expansion",
-    "avg_distance_bounds",
-    "remark3_threshold",
-    "compare_bounds",
-    "DomainViolationError",
-    "HcSolution",
-    "HcCertificate",
-    "c_function",
-    "solve_u",
-    "solve_q",
-    "psi_bound",
-    "verify_hc_inequality",
-    "RatePair",
-    "FeasibilityFrontier",
-    "van_tilborg_wd_cap",
-    "zero_error_upper_exponent",
-    "feasibility_scan",
-    "AxisSpec",
-    "SweepSpec",
-    "SweepError",
-    "ResultTable",
-    "run_sweep",
-    "figure_phi_surface",
-    "convergence_study",
-    "CheckResult",
-    "run_suites",
+    *entropy.__all__,
+    *oracle.__all__,
+    *exponents.__all__,
+    *hypercontractivity.__all__,
+    *adder_mac.__all__,
+    *sweeps.__all__,
+    *verify.__all__,
     "__version__",
 ]

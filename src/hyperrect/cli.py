@@ -26,7 +26,7 @@ from .oracle import (
     rectangle_prob_fraction,
 )
 from .sweeps import (
-    AxisSpec, ResultTable, SweepSpec, _check_grid_budget, figure_phi_surface, run_sweep,
+    AxisSpec, ResultTable, SweepSpec, _check_grid_budget, _lattice, figure_phi_surface, run_sweep,
 )
 from .verify import SUITES, run_suites
 
@@ -54,10 +54,7 @@ def _grid(text: str) -> list[float]:
     if count < 1:
         raise ValueError(f"count must be >= 1, got {count}")
     _check_grid_budget("grid", count)
-    if count == 1:
-        return [start]
-    step = (stop - start) / (count - 1)
-    return [start + k * step for k in range(count)]
+    return _lattice(start, stop, count)
 
 
 def _fraction(text: str) -> Fraction:

@@ -15,6 +15,7 @@ Conventions shared by the whole package:
 from __future__ import annotations
 
 import math
+import sys
 
 __all__ = [
     "NEG_INF",
@@ -45,6 +46,14 @@ _DEFICIT_FORM_BELOW = 1e-4
 # taking log2 of a huge integer; beyond it the lgamma route is cheaper
 # and agrees to ~1e-12 relative.
 _EXACT_COMB_LIMIT = 64
+# Past 2^53, n + 1 is no longer a float distinct from n, so the lgamma
+# route has nothing left to resolve.
+_MAX_BINOMIAL_N = 2**53
+
+
+def _is_int(value) -> bool:
+    """An int, and not a bool, although True == 1."""
+    return isinstance(value, int) and not isinstance(value, bool)
 
 
 def _check_range(
@@ -157,12 +166,15 @@ def phi(x: float, y: float) -> float:
 
 
 def log_binomial(n: int, k: int) -> float:
-    """log2 of C(n, k); out-of-range k raises ValueError.
+    """log2 of C(n, k) for ints 0 <= k <= n <= 2^53; anything else raises
+    ValueError.
 
     Small n goes through exact integer arithmetic; large n through lgamma.
     """
-    if n < 0:
-        raise ValueError(f"n must be nonnegative, got {n!r}")
+    if not (_is_int(n) and _is_int(k)):
+        raise ValueError(f"n and k must be ints, got n={n!r}, k={k!r}")
+    if not 0 <= n <= _MAX_BINOMIAL_N:
+        raise ValueError(f"n must lie in [0, 2^53], got {n!r}")
     if k < 0 or k > n:
         raise ValueError(f"k={k!r} outside [0, {n}]")
     if n <= _EXACT_COMB_LIMIT:
@@ -184,5 +196,5 @@ def v_func(t: float) -> float:
 
 def g_func(y: float) -> float:
     """(y^2 - 1)/y - 2 ln y for finite y >= 1; nonnegative, zero only at y = 1."""
-    _check_range("argument", y, 1.0, math.inf, hi_open=True)
+    _check_range("argument", y, 1.0, sys.float_info.max)
     return (y * y - 1.0) / y - 2.0 * math.log(y)

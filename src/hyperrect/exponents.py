@@ -325,7 +325,9 @@ def remark3_threshold(rho: float) -> float:
     above alpha*, so either bound may win in between.
     """
     _check_range("correlation", rho, 0.0, 1.0, lo_open=True, hi_open=True)
-    return 1.0 - (1.0 - rho) / (2.0 * rho) * math.log2(1.0 / (1.0 - rho))
+    # log2(1/(1-rho)) / rho as -log1p(-rho) / rho / ln 2: the quotient
+    # tends to 1 without cancelling as rho -> 0, subnormals included.
+    return 1.0 - (1.0 - rho) * (-math.log1p(-rho) / rho) / (2.0 * LN2)
 
 
 @dataclass(frozen=True)

@@ -23,7 +23,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .entropy import NEG_INF, _check_range
+from .entropy import NEG_INF, _check_range, _is_int
 
 __all__ = [
     "MAX_FUNCTION_DIM",
@@ -51,11 +51,9 @@ __all__ = [
 MAX_FUNCTION_DIM = 20
 # Ordered pairs visited by the direct double loop.
 DEFAULT_PAIR_BUDGET = 10**8
-
-
-def _is_int(value) -> bool:
-    """An int, and not a bool, although True == 1."""
-    return isinstance(value, int) and not isinstance(value, bool)
+# A sphere profile holds n + 1 counts of up to 2n bits each; at 2^14 it
+# already takes seconds.
+_MAX_SPHERE_DIM = 2**14
 
 
 def _check_function_dim(n: int) -> None:
@@ -237,9 +235,10 @@ def sphere_distance_profile(n: int, i: int, j: int) -> DistanceProfile:
 
     when j-i <= k <= j+i with j-i+k even, else 0.  The dataclass sum check
     doubles as a Vandermonde identity cross-check against C(n,i)*C(n,j).
+    n is at most 2^14.
     """
-    if not _is_int(n) or n < 1:
-        raise ValueError(f"dimension must be a positive int, got {n!r}")
+    if not _is_int(n) or not 1 <= n <= _MAX_SPHERE_DIM:
+        raise ValueError(f"dimension must be an int in [1, 2^14], got {n!r}")
     if not (_is_int(i) and _is_int(j) and 0 <= i <= j <= n):
         raise ValueError(f"radii must be ints with 0 <= i <= j <= n, got i={i!r}, j={j!r}")
     counts = [0] * (n + 1)

@@ -9,11 +9,9 @@ from dataclasses import dataclass, field
 from itertools import product
 from typing import Callable, Mapping
 
-import numpy as np
-
 from . import adder_mac, entropy, exponents, hypercontractivity
-from .entropy import _check_range
-from .oracle import rectangle_prob, sphere_distance_profile
+from .entropy import _check_range, _is_int
+from .oracle import _MAX_SPHERE_DIM, rectangle_prob, sphere_distance_profile
 
 __all__ = [
     "MAX_GRID_POINTS",
@@ -38,6 +36,18 @@ def _check_grid_budget(what: str, points: int) -> None:
         raise ValueError(f"{what} has {points} points, over the budget of {MAX_GRID_POINTS}")
 
 
+def _lattice(start: float, stop: float, count: int) -> list[float]:
+    """The package's one grid rule: start + k * step for k < count, with
+    step = (stop - start) / (count - 1); the last point is not pinned to
+    stop.  A step that is not finite raises ValueError."""
+    if count == 1:
+        return [start]
+    step = (stop - start) / (count - 1)
+    if not math.isfinite(step):
+        raise ValueError(f"grid from {start!r} to {stop!r} has a step that is not finite")
+    return [start + k * step for k in range(count)]
+
+
 class SweepError(ValueError):
     """A core operation rejected its input at an identified grid point."""
 
@@ -53,22 +63,30 @@ class AxisSpec:
     spacing: str = "linear"
 
     def __post_init__(self) -> None:
-        if not self.name.isidentifier():
+        if not (isinstance(self.name, str) and self.name.isidentifier()):
             raise ValueError(f"axis name must be an identifier, got {self.name!r}")
-        if self.count < 2:
-            raise ValueError(f"axis count must be >= 2, got {self.count!r}")
+        if not _is_int(self.count) or self.count < 2:
+            raise ValueError(f"axis count must be an int >= 2, got {self.count!r}")
         _check_grid_budget(f"axis {self.name!r}", self.count)
         if self.spacing not in ("linear", "log"):
             raise ValueError(f"spacing must be 'linear' or 'log', got {self.spacing!r}")
-        # Log spacing needs positive endpoints; either way they are finite.
-        lo = 0.0 if self.spacing == "log" else -math.inf
-        _check_range("start", self.start, lo, math.inf, lo_open=True, hi_open=True)
-        _check_range("stop", self.stop, lo, math.inf, lo_open=True, hi_open=True)
+        # Log spacing needs positive endpoints; either way they are finite floats.
+        log = self.spacing == "log"
+        top = sys.float_info.max
+        _check_range("start", self.start, 0.0 if log else -top, top, lo_open=log)
+        _check_range("stop", self.stop, 0.0 if log else -top, top, lo_open=log)
 
     def points(self) -> tuple[float, ...]:
-        if self.spacing == "log":
-            return tuple(float(v) for v in np.geomspace(self.start, self.stop, self.count))
-        return tuple(float(v) for v in np.linspace(self.start, self.stop, self.count))
+        """The lattice with both ends pinned to start and stop; a log axis
+        is 10 ** the lattice of the endpoints' log10."""
+        start, stop = float(self.start), float(self.stop)
+        if self.spacing == "linear":
+            return (*_lattice(start, stop, self.count)[:-1], stop)
+        inner = _lattice(math.log10(start), math.log10(stop), self.count)[1:-1]
+        try:
+            return (start, *(10.0**e for e in inner), stop)
+        except OverflowError:
+            raise ValueError(f"log axis {self.name!r} overflows next to {stop!r}") from None
 
 
 @dataclass(frozen=True)
@@ -307,9 +325,12 @@ def convergence_study(alpha: float, rho: float, n_list) -> ResultTable:
     The realized rate log2 C(n, radius) / n accompanies the nominal alpha
     since the radius is rounded.
     """
-    sizes = [int(n) for n in n_list]
+    sizes = list(n_list)
     if not sizes:
         raise ValueError("n list must be nonempty")
+    for n in sizes:
+        if not _is_int(n) or not 2 <= n <= _MAX_SPHERE_DIM:
+            raise ValueError(f"each n must be an int in [2, 2^14], got {n!r}")
     radius_fraction = entropy.binary_entropy_inv(alpha)
     asymptotic = exponents.sphere_exponent(alpha, alpha, rho, "same").value
     rows = []

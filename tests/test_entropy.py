@@ -327,3 +327,53 @@ class TestCheckRange:
         _check_range("rho", Fraction(1, 3), 0, 1)
         with pytest.raises(ValueError):
             _check_range("rho", Fraction(4, 3), 0, 1)
+
+
+# Values at and past the edges of the primitives' domains.
+_HOSTILE = (math.nan, math.inf, -math.inf, 0.0, -0.0, 5e-324, 1e-300, 0.5,
+            1.0 - 2**-53, 1.0, 1.0 + 2**-52, 2.0, -1.0, 100.5, 1e308, True, 10**400)
+_VALUE = st.one_of(st.sampled_from(_HOSTILE), st.floats(), st.integers(-3, 200))
+
+
+class TestHostileInput:
+    # Every entry point either returns or raises ValueError, and returns no
+    # NaN; overflow and type errors from inside fail here.
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda: log_binomial(math.nan, 1),
+            lambda: log_binomial(5, 2.5),
+            lambda: log_binomial(10**400, 3),
+            lambda: log_binomial(100.5, 3),
+            lambda: log_binomial(True, 0),
+            lambda: g_func(10**400),
+        ],
+        ids=["nan-n", "float-k", "huge-n", "float-n", "bool-n", "g-huge"],
+    )
+    def test_known_cases(self, call):
+        with pytest.raises(ValueError):
+            call()
+
+    @pytest.mark.parametrize(
+        "fn, arity",
+        [
+            (binary_entropy, 1),
+            (binary_entropy_inv, 1),
+            (star, 2),
+            (phi, 2),
+            (log_binomial, 2),
+            (v_func, 1),
+            (g_func, 1),
+        ],
+        ids=lambda value: getattr(value, "__name__", str(value)),
+    )
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(data=st.data())
+    def test_entry_point(self, fn, arity, data):
+        args = [data.draw(_VALUE) for _ in range(arity)]
+        try:
+            result = fn(*args)
+        except ValueError:
+            return
+        assert not math.isnan(result)

@@ -11,10 +11,13 @@ import random
 
 import mpmath
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import hyperrect.exponents as exponents_module
 from hyperrect import (
     NEG_INF,
+    BoundComparison,
     ExponentBound,
     avg_distance_bounds,
     avgdist_lower_exponent,
@@ -394,6 +397,11 @@ class TestCompareBounds:
         )
         assert report.predicts_avgdist is None
 
+    def test_tiny_rho_above_threshold(self):
+        # The threshold tends to 1 - 1/(2 ln 2) ~ 0.279 as rho -> 0, so
+        # alpha = 0.5 is above it however small rho is.
+        assert compare_bounds(0.5, 0.5, 1e-17).predicts_avgdist is False
+
     def test_rhct_only_on_diagonal(self):
         assert "rhct_lower" in compare_bounds(0.5, 0.5, 0.3).bounds
         assert "rhct_lower" not in compare_bounds(0.5, 0.6, 0.3).bounds
@@ -420,6 +428,21 @@ class TestRemark3Threshold:
 
     def test_large_rho_limit(self):
         assert remark3_threshold(1 - 1e-9) == pytest.approx(1.0, abs=1e-6)
+
+    @pytest.mark.parametrize("rho", [1e-17, 1e-300, 5e-324])
+    def test_tiny_rho_reaches_limit(self, rho):
+        # The quotient log2(1/(1-rho)) / rho must not cancel to 0 (or 0/0).
+        assert remark3_threshold(rho) == pytest.approx(1 - 1 / (2 * math.log(2)), rel=1e-15)
+
+    def test_matches_mpmath_within_four_ulp(self):
+        rng = random.Random(61)
+        rhos = [10 ** rng.uniform(-320, 0) for _ in range(100)]
+        rhos += [rng.uniform(1e-6, 1 - 1e-6) for _ in range(100)]
+        with mpmath.workdps(60):
+            for rho in rhos:
+                r = mpmath.mpf(rho)
+                exact = 1 - (1 - r) * (-mpmath.log1p(-r) / r) / (2 * mpmath.log(2))
+                assert abs(remark3_threshold(rho) - exact) <= 4 * math.ulp(float(exact))
 
     def test_guarantee_below_threshold(self):
         # The threshold is a sufficient condition: below it the
@@ -476,3 +499,50 @@ class TestExponentBoundType:
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError):
             ExponentBound(1.0, "mystery")
+
+
+# Values at and past the edges of the exponents' domains.
+_HOSTILE = (math.nan, math.inf, -math.inf, 0.0, -0.0, 5e-324, 1e-300, 1e-17, 0.5,
+            1.0 - 2**-53, 1.0, 1.0 + 2**-52, 2.0, -1.0, 1e308, True, 3, 10**400)
+_VALUE = st.one_of(st.sampled_from(_HOSTILE), st.floats(), st.integers(-3, 3))
+
+
+def _scalars(result):
+    if isinstance(result, ExponentBound):
+        return (result.value, result.d_opt or 0.0)
+    if isinstance(result, BoundComparison):
+        return (*(bound.value for bound in result.bounds.values()), result.threshold or 0.0)
+    return result if isinstance(result, tuple) else (result,)
+
+
+class TestHostileInput:
+    # Every scalar entry point either returns or raises ValueError, and
+    # what it returns holds no NaN; overflow and type errors fail here.
+
+    @pytest.mark.parametrize(
+        "fn, arity",
+        [
+            (feasible_distance_interval, 2),
+            (w_d, 3),
+            (sphere_exponent, 3),
+            (hct_upper_exponent, 2),
+            (rhct_lower_exponent, 2),
+            (morss_lower_exponent, 3),
+            (avgdist_lower_exponent, 3),
+            (thm1_expansion, 2),
+            (thm2_expansion, 3),
+            (avg_distance_bounds, 2),
+            (remark3_threshold, 1),
+            (compare_bounds, 3),
+        ],
+        ids=lambda value: getattr(value, "__name__", str(value)),
+    )
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(data=st.data())
+    def test_entry_point(self, fn, arity, data):
+        args = [data.draw(_VALUE) for _ in range(arity)]
+        try:
+            result = fn(*args)
+        except ValueError:
+            return
+        assert not any(math.isnan(value) for value in _scalars(result))

@@ -12,6 +12,7 @@ import re
 import tracemalloc
 from fractions import Fraction
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -295,6 +296,12 @@ class TestSphereDistanceProfile:
         # verified inside the DistanceProfile constructor.
         p = sphere_distance_profile(10**4, 100, 200)
         assert sum(p.counts) == math.comb(10**4, 100) * math.comb(10**4, 200)
+
+    def test_dimension_capped_before_counting(self):
+        assert sum(sphere_distance_profile(2**14, 1, 1).counts) == 2**28
+        with mock.patch.object(math, "comb", side_effect=AssertionError):
+            with pytest.raises(ValueError, match=r"2\^14"):
+                sphere_distance_profile(2**14 + 1, 1, 1)
 
 
 class TestDistanceProfileCounts:
@@ -765,8 +772,8 @@ class TestHostileInput:
     @settings(max_examples=100, deadline=None, derandomize=True)
     @given(_INDEX, _INDEX, _INDEX)
     def test_sphere_distance_profile(self, n, i, j):
-        # n stays at most 64: the profile has n + 1 entries, and no cap
-        # on n keeps a huge one from allocating them.
+        # n stays at most 64 to keep the drive fast; the cap on n has its
+        # own test.
         try:
             profile = sphere_distance_profile(n, i, j)
         except ValueError:

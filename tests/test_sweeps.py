@@ -7,9 +7,12 @@ from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import hyperrect.entropy as entropy_module
 import hyperrect.exponents as exponents_module
+import hyperrect.sweeps as sweeps_module
 from hyperrect import (
     NEG_INF,
     AxisSpec,
@@ -61,11 +64,28 @@ class TestAxisSpec:
 
     @pytest.mark.parametrize("spacing", ["linear", "log"])
     def test_over_budget_count_rejected_before_allocation(self, spacing):
-        with mock.patch.object(np, "linspace", side_effect=AssertionError), \
-                mock.patch.object(np, "geomspace", side_effect=AssertionError):
+        with mock.patch.object(sweeps_module, "_lattice", side_effect=AssertionError):
             with pytest.raises(ValueError, match="budget"):
                 AxisSpec("x", 0.5, 1.0, 10**12, spacing)
             AxisSpec("x", 0.5, 1.0, MAX_GRID_POINTS, spacing)
+
+    def test_linear_points_equal_numpy_linspace(self):
+        rng = random.Random(67)
+        for _ in range(500):
+            start, stop = rng.uniform(-10, 10), rng.uniform(-10, 10)
+            count = rng.randint(2, 60)
+            expected = tuple(float(v) for v in np.linspace(start, stop, count))
+            assert AxisSpec("x", start, stop, count).points() == expected
+
+    def test_log_points_pin_both_ends(self):
+        points = AxisSpec("x", 3e-5, 7e4, 9, "log").points()
+        assert (points[0], points[-1]) == (3e-5, 7e4)
+        assert points == pytest.approx(tuple(np.geomspace(3e-5, 7e4, 9)), rel=1e-14)
+
+    def test_overflowing_step_rejected(self):
+        # With numpy the points were (nan, -inf, -1e308), with warnings.
+        with pytest.raises(ValueError, match="not finite"):
+            AxisSpec("x", 1e308, -1e308, 3).points()
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     @pytest.mark.parametrize("spacing", ["linear", "log"])
@@ -459,7 +479,7 @@ _PINNED_CSV = {
     'thm1_expansion': 'rho,exponent\n0.85,0.6497004870885021\n0.8999999999999999,0.6331336580590015\n0.95,0.6165668290295007\n',
     'thm2_expansion': 'rho,exponent\n0.0,0.9\n0.1,0.9754164742247843\n0.2,1.0508329484495686\n',
     'avg_distance_bounds': 'alpha,d_min,d_max\n0.2,0.134303208944884,0.865696791055116\n0.5,0.19584346697098703,0.804156533029013\n0.8,0.2995573280775323,0.7004426719224677\n',
-    'remark3_threshold': 'rho,alpha_star\n0.1,0.31598607949727475\n0.5,0.5\n0.9,0.8154484391729244\n',
+    'remark3_threshold': 'rho,alpha_star\n0.1,0.3159860794972751\n0.5,0.5\n0.9,0.8154484391729243\n',
     # 30-digit mpmath: 0.52832140889029845... and 0.51382017427567322...; the
     # first literal lies 0.11 ulp below its reference, the second 0.59 ulp above.
     'psi_bound': 'rho,exponent\n0.9,0.5283214088902984\n0.95,0.5138201742756733\n',
@@ -524,3 +544,69 @@ class TestRegistryPinned:
         with mock.patch.object(exponents_module, "sphere_exponent", spy):
             run_sweep(spec)
         assert len(calls) == 3
+
+
+# Values at and past the edges of the sweeps' domains.
+_MAX_FLOAT = 1.7976931348623157e308
+_HOSTILE = (math.nan, math.inf, -math.inf, 0.0, -0.0, 5e-324, 1e-300, 0.5,
+            1.0 - 2**-53, 1.0, 1.0 + 2**-52, 2.0, 2.5, -1.0, 1e308, -1e308,
+            _MAX_FLOAT, True, 10**400)
+_VALUE = st.one_of(st.sampled_from(_HOSTILE), st.floats(), st.integers(-3, 3))
+# Counts stay small or far over the budget, so no drive allocates much.
+_COUNT = st.one_of(st.sampled_from(_HOSTILE), st.integers(-3, 40), st.just(10**12))
+
+
+class TestHostileInput:
+    # Every entry point either returns or raises ValueError, and returns no
+    # NaN; overflow, type and attribute errors from inside fail here.
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda: AxisSpec("x", 0, 1, 2.5),
+            lambda: AxisSpec("x", 0, 1, math.nan),
+            lambda: AxisSpec(3, 0, 1, 3),
+            lambda: AxisSpec("x", 0, 10**400, 3),
+            lambda: AxisSpec("x", _MAX_FLOAT, _MAX_FLOAT, 3, "log").points(),
+            lambda: figure_phi_surface(2.5),
+            lambda: convergence_study(0.5, 0.5, [math.inf]),
+            lambda: convergence_study(0.9, 0.5, [2.7]),
+            lambda: convergence_study(1.0, 0.5, [1]),
+            lambda: convergence_study(0.5, 0.5, [10**400]),
+        ],
+        ids=["float-count", "nan-count", "int-name", "huge-stop", "log-overflow", "figure-float",
+             "convergence-inf", "convergence-float", "convergence-one", "convergence-huge"],
+    )
+    def test_known_cases(self, call):
+        with pytest.raises(ValueError):
+            call()
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(st.sampled_from(["x", 3, "not a name"]), _VALUE, _VALUE, _COUNT,
+           st.sampled_from(["linear", "log"]))
+    def test_axis_points(self, name, start, stop, count, spacing):
+        try:
+            points = AxisSpec(name, start, stop, count, spacing).points()
+        except ValueError:
+            return
+        assert len(points) == count
+        assert (points[0], points[-1]) == (start, stop)
+        assert all(math.isfinite(point) for point in points)
+
+    @settings(max_examples=50, deadline=None, derandomize=True)
+    @given(_COUNT)
+    def test_figure_phi_surface(self, grid_count):
+        try:
+            table = figure_phi_surface(grid_count)
+        except ValueError:
+            return
+        assert not any(math.isnan(row[2]) for row in table.rows)
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(_VALUE, _VALUE, st.lists(st.one_of(_COUNT, st.integers(2, 64)), max_size=3))
+    def test_convergence_study(self, alpha, rho, sizes):
+        try:
+            table = convergence_study(alpha, rho, sizes)
+        except ValueError:
+            return
+        assert not any(math.isnan(cell) for row in table.rows for cell in row)
