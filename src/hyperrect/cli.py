@@ -135,6 +135,7 @@ def _cmd_hc(args) -> int:
                 ("q", solution.q),
                 ("q0", solution.q0),
                 ("residual", solution.residual),
+                ("bracket", solution.bracket),
                 ("steps", solution.steps),
                 ("evaluations", solution.evaluations),
             ],

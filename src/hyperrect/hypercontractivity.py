@@ -29,7 +29,6 @@ import functools
 import math
 import sys
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -150,14 +149,15 @@ def solve_u(a: float, b: float, t: float) -> float:
 class HcSolution:
     """Solved shooting state for the norm-index boundary problem.
 
-    ``q = 1 + e^a`` is the improved norm index at time t, and ``b`` is
-    derived from a and alpha by the drive constraint; ``residual``
-    bounds the terminal mismatch |u(t) - ln(q0 - 1)| by (2/ln 2)|t(a) - t|,
-    since u' <= 2/ln 2; ``evaluations`` counts the shots, each one
-    quadrature of the time integral t(a) (the two bracket ends plus the
-    root iterations, the last of which gives the residual); ``steps``
-    counts the integrand evaluations across them, two panels of
-    _PANEL_NODES per shot.
+    ``q = 1 + e^a`` is the improved norm index at time t; ``b`` is derived
+    from a and alpha by the drive constraint, and ``bracket`` from t and
+    q0: the interval [ln(q0 - 1) - 2t/ln 2, ln(q0 - 1) - 2t] that holds a
+    for every drive.  ``residual`` bounds the terminal mismatch
+    |u(t) - ln(q0 - 1)| by (2/ln 2)|t(a) - t|, since u' <= 2/ln 2;
+    ``evaluations`` counts the shots, each one quadrature of t(a) and
+    t'(a) (the Newton iterates, the last of which is a and gives the
+    residual); ``steps`` counts the integrand evaluations across them,
+    two panels of _PANEL_NODES per shot.
     """
 
     t: float
@@ -173,6 +173,11 @@ class HcSolution:
         return (1.0 - self.alpha) * LN2 / (1.0 + math.exp(-self.a))
 
     @property
+    def bracket(self) -> tuple[float, float]:
+        target = math.log(self.q0 - 1.0)
+        return target - 2.0 * self.t / LN2, target - 2.0 * self.t
+
+    @property
     def steps(self) -> int:
         return self.evaluations * 2 * _PANEL_NODES
 
@@ -185,55 +190,6 @@ class HcSolution:
             raise ValueError(f"norm index {self.q!r} outside (1, q0={self.q0!r}]")
 
 
-def _brent_root(
-    f: Callable[[float], float], a: float, b: float, fa: float, fb: float
-) -> tuple[float, float, int]:
-    """Root of f in [a, b], where fa = f(a) and fb = f(b) differ in sign.
-
-    Brent's method (Brent 1973, ch. 4, the zeroin algorithm): inverse
-    quadratic or secant steps, replaced by a bisection step whenever they
-    would leave the bracket or shrink it too slowly.  Stops once the
-    bracket around the best point b is narrower than _SHOOT_A_TOL plus
-    4 macheps |b|, so a tolerance below the float spacing at b still ends;
-    returns (b, f(b), iterations).
-    """
-    c, fc = a, fa
-    d = e = b - a
-    iterations = 0
-    while True:
-        if fb * math.copysign(1.0, fc) > 0.0:
-            c, fc = a, fa
-            d = e = b - a
-        if abs(fc) < abs(fb):
-            a, b, c = b, c, b
-            fa, fb, fc = fb, fc, fb
-        tol1 = 2.0 * math.ulp(1.0) * abs(b) + 0.5 * _SHOOT_A_TOL
-        m = 0.5 * (c - b)
-        if abs(m) <= tol1 or fb == 0.0:
-            return b, fb, iterations
-        if abs(e) < tol1 or abs(fa) <= abs(fb):
-            d = e = m
-        else:
-            s = fb / fa
-            if a == c:
-                p, q = 2.0 * m * s, 1.0 - s
-            else:
-                q, r = fa / fc, fb / fc
-                p = s * (2.0 * m * q * (q - r) - (b - a) * (r - 1.0))
-                q = (q - 1.0) * (r - 1.0) * (s - 1.0)
-            if p > 0.0:
-                q = -q
-            p = abs(p)
-            if 2.0 * p < min(3.0 * m * q - abs(tol1 * q), abs(e * q)):
-                e, d = d, p / q
-            else:
-                d = e = m
-        a, fa = b, fb
-        b += d if abs(d) > tol1 else math.copysign(tol1, m)
-        fb = f(b)
-        iterations += 1
-
-
 @functools.cache
 def _quad_rule() -> tuple[tuple[float, float], ...]:
     """Gauss-Legendre nodes and weights on [-1, 1] for one panel of a
@@ -243,50 +199,74 @@ def _quad_rule() -> tuple[tuple[float, float], ...]:
     return tuple(zip(nodes.tolist(), weights.tolist()))
 
 
-def _pole_free(x: float, two_y: float, ln_two_y: float, b: float, inv_c_b: float) -> float:
-    """atanh(x) (1/C(lam) - 1/C(b)) / (lam - b) at x = 1 - 2y, where
-    lam = ln 2 (1 - h(y)) and 1/C(lam) = lam / D; the caller passes
-    2y = 1 - x and ln(2y) to full relative precision, so nothing below
+def _c_terms(lam: float, y: float) -> tuple[float, float]:
+    """(1/C(lam), g(lam)) with g = lam C'(lam) / C(lam)^2 >= 0, where y is
+    C's parameter, h(y) = 1 - lam / ln 2: with x = 1 - 2y, r = sqrt(1 - x^2)
+    and 1/C = lam / D, D = 2x^2 / (1 + r), dD/dx = 2x/r and dlam/dx =
+    atanh x give g = (lam/D)(2x (lam/D) / (r atanh x) - 1).  Below C's
+    series cutoff, C = 2 + lam/3 and g = lam/12."""
+    if lam < _C_SERIES_CUTOFF:
+        return 1.0 / (2.0 + lam / 3.0), lam / 12.0
+    x, two_y = 1.0 - 2.0 * y, max(2.0 * y, sys.float_info.min)
+    r = math.sqrt(two_y * (1.0 + x))
+    inv_d = lam * (1.0 + r) / (2.0 * x * x)
+    return inv_d, inv_d * (4.0 * x * inv_d / (r * (math.log1p(x) - math.log(two_y))) - 1.0)
+
+
+def _shot(
+    alpha: float, a: float, target: float, y_a: float, inv_c_beta: float
+) -> tuple[float, float]:
+    """(t(a), t'(a)) from the same 48 nodes.  t(a) is (U - a)/C(b) plus the
+    pole-free integral over y in [y_a, y_U], by one Gauss-Legendre panel
+    in v = ln(2y) and one linear in y (see `solve_q`).  Differentiating in
+    a gives t'(a) = -1/C(beta) - integral_a^U g(lam(u)) du / (1 + e^a),
+    beta = (1 - alpha) ln 2, whose integral takes the same pole split:
+    g(b)(U - a) plus that of atanh(x) (g(lam) - g(b)) / (lam - b).  Nodes
+    get 2y = 1 - x and ln(2y) to full relative precision, so nothing
     cancels as y -> 0 or y -> 1/2."""
-    log_1px = math.log1p(x)
-    atanh_x = 0.5 * (log_1px - ln_two_y)
-    if x < 0.5:
-        lam = x * atanh_x + 0.5 * math.log1p(-x * x)
-    else:
-        lam = log_1px - two_y * atanh_x
-    # Only a shot whose whole lam range lies within rounding of b puts a
-    # node here, and its remainder is of the order of that rounding.
-    if lam <= b:
-        return 0.0
-    d = 2.0 * x * x / (1.0 + math.sqrt(two_y * (1.0 + x)))
-    return atanh_x * (lam / d - inv_c_b) / (lam - b)
-
-
-def _shot_time(alpha: float, a: float, target: float, y_a: float) -> float:
-    """t(a) = (U - a) / C(b) plus the pole-free integral over y in
-    [y_a, y_U], by one Gauss-Legendre panel in v = ln(2y) and one linear
-    in y (see `solve_q`); y_a = h^-1(alpha)."""
-    b = (1.0 - alpha) * LN2 / (1.0 + math.exp(-a))
-    inv_c_b = 1.0 / c_function(b)
-    # h(y_U) = 1 - b (1 + e^-U) / ln 2, written free of cancellation.
-    y_u = binary_entropy_inv(
-        alpha - (1.0 - alpha) * math.expm1(a - target) / (1.0 + math.exp(a))
-    )
+    exp_minus_a, one_plus_exp_a = math.exp(-a), 1.0 + math.exp(a)
+    b = (1.0 - alpha) * LN2 / (1.0 + exp_minus_a)
+    # h(y_b) = 1 - b / ln 2 and h(y_U) = 1 - b (1 + e^-U) / ln 2, free of cancellation.
+    inv_c_b, g_b = _c_terms(b, binary_entropy_inv((alpha + exp_minus_a) / (1.0 + exp_minus_a)))
+    y_u = binary_entropy_inv(alpha - (1.0 - alpha) * math.expm1(a - target) / one_plus_exp_a)
     # The floor only keeps ln(2 y_m) finite when y_U rounds to 0.
     y_m = max(math.sqrt(y_a * y_u), 0.25 * y_u, sys.float_info.min)
     v_m = math.log(2.0 * y_m)
     v_lo = math.log(2.0 * max(y_a, y_m * math.exp(-_TAIL_SPAN)))
     mid, half = 0.5 * (v_m + v_lo), 0.5 * (v_m - v_lo)
-    near_zero = 0.0
+    near_zero = near_zero_slope = 0.0
     for z, w in _quad_rule():
         v = mid + half * z
         two_y = math.exp(v)
-        near_zero += w * two_y * _pole_free(-math.expm1(v), two_y, v, b, inv_c_b)
-    near_pole = 0.0
+        x = -math.expm1(v)
+        log_1px = math.log1p(x)
+        atanh_x = 0.5 * (log_1px - v)
+        lam = x * atanh_x + 0.5 * math.log1p(-x * x) if x < 0.5 else log_1px - two_y * atanh_x
+        # Only a shot whose whole lam range lies within rounding of b puts
+        # a node here, and its remainder is of the order of that rounding.
+        if lam > b:
+            r = math.sqrt(two_y * (1.0 + x))
+            inv_d = lam / (2.0 * x * x / (1.0 + r))
+            scale = w * two_y * atanh_x / (lam - b)
+            near_zero += scale * (inv_d - inv_c_b)
+            near_zero_slope += scale * (inv_d * (2.0 * x * inv_d / (r * atanh_x) - 1.0) - g_b)
+    near_pole = near_pole_slope = 0.0
     for z, w in _quad_rule():
         two_y = y_m + y_u + (y_u - y_m) * z
-        near_pole += w * _pole_free(1.0 - two_y, two_y, math.log(two_y), b, inv_c_b)
-    return (target - a) * inv_c_b + half * near_zero + (y_u - y_m) * near_pole
+        x = 1.0 - two_y
+        log_1px = math.log1p(x)
+        atanh_x = 0.5 * (log_1px - math.log(two_y))
+        lam = x * atanh_x + 0.5 * math.log1p(-x * x) if x < 0.5 else log_1px - two_y * atanh_x
+        if lam > b:
+            r = math.sqrt(two_y * (1.0 + x))
+            inv_d = lam / (2.0 * x * x / (1.0 + r))
+            scale = w * atanh_x / (lam - b)
+            near_pole += scale * (inv_d - inv_c_b)
+            near_pole_slope += scale * (inv_d * (2.0 * x * inv_d / (r * atanh_x) - 1.0) - g_b)
+    span = target - a
+    g_integral = g_b * span + half * near_zero_slope + (y_u - y_m) * near_pole_slope
+    return (span * inv_c_b + half * near_zero + (y_u - y_m) * near_pole,
+            -inv_c_beta - g_integral / one_plus_exp_a)
 
 
 def solve_q(alpha: float, q0: float, t: float) -> HcSolution:
@@ -304,7 +284,17 @@ def solve_q(alpha: float, q0: float, t: float) -> HcSolution:
     u = U, so it stays in (b, lam_a], inside C's domain, for every t.
     Since 2 <= C <= 2/ln 2, (U - a) ln 2 / 2 <= t(a) <= (U - a) / 2: the
     root lies in [U - 2t/ln 2, U - 2t] for every t > 0, and it is unique
-    since t(a) decreases in a.  Brent's method runs on that bracket.
+    since t(a) decreases in a.
+
+    Newton's method runs on that bracket from the ODE's second-order
+    expansion in t, with t'(a) from each shot's own nodes (see `_shot`).
+    t' <= -1/C(beta) since g >= 0, so a shot's miss puts the root within
+    C(beta) |t(a) - t| of a, on the side its sign gives; each shot narrows
+    the bracket by both, and the last shot is returned once the bracket
+    is at most 2 tol wide, tol = 2 macheps |a| + 5e-15 as in Brent's
+    method.  A Newton step that leaves the bracket, or follows a shot that
+    failed to halve it, becomes a bisection, so a solve takes at most
+    2 ceil(log2(width / 1e-14)) shots; psi_bound's drives take 2 or 3.
 
     Each shot integrates in C's own parameter y in [0, 1/2], with
     x = 1 - 2y: lam = ln 2 (1 - h(y)) = x atanh x + ln(1 - x^2) / 2 and
@@ -325,9 +315,9 @@ def solve_q(alpha: float, q0: float, t: float) -> HcSolution:
     [y_a, y_m], which sends y = 0 to -inf and turns y^k ln y into
     polynomials times exponentials in v, and one linear in y on
     [y_m, y_U], which keeps y = 0 at least a third of its length away.  A
-    shot inverts the entropy twice, for y_U and inside C(b); every node is
-    explicit.  q agrees with 30-digit mpmath references to a few parts in
-    1e15, and the tests hold it to 1e-12.  `solve_u` (RK4) stays as the
+    shot inverts the entropy twice, for y_U and for y_b; every node is
+    explicit.  q agrees with 32-digit mpmath references to about 1e-13,
+    and the tests hold it to 1e-12.  `solve_u` (RK4) stays as the
     independent cross-check.
 
     t = 0 returns q = q0 exactly, and so does a t too small to move
@@ -367,20 +357,26 @@ def solve_q(alpha: float, q0: float, t: float) -> HcSolution:
         for _ in range(2):
             y_a -= (binary_entropy(y_a) - alpha) / math.log2((1.0 - y_a) / y_a)
 
-    def miss(a: float) -> float:
-        return _shot_time(alpha, a, target, y_a) - t
-
-    root, f_root, iterations = _brent_root(miss, lo, hi, miss(lo), miss(hi))
-    shots = 2 + iterations
-    return HcSolution(
-        t=t,
-        alpha=alpha,
-        q0=q0,
-        a=root,
-        q=1.0 + math.exp(root),
-        residual=abs(f_root) * 2.0 / LN2,
-        evaluations=shots,
-    )
+    # u(t) = a + C(beta) t - g(beta) C(beta)^3 t^2 / (2 (1 + e^a)) + O(t^3).
+    inv_c_beta, g_beta = _c_terms((1.0 - alpha) * LN2, y_a)
+    a = target - t / inv_c_beta
+    a += 0.5 * g_beta * (t / inv_c_beta) ** 2 / inv_c_beta / (1.0 + math.exp(a))
+    a = min(max(a, lo), hi)
+    shots = 0
+    while True:
+        time, slope = _shot(alpha, a, target, y_a, inv_c_beta)
+        miss = time - t
+        shots += 1
+        # The root lies beyond a on the side of the miss's sign, and within C(beta) |miss|.
+        width, reach = hi - lo, a + miss / inv_c_beta
+        lo, hi = (a, min(hi, reach)) if miss > 0.0 else (max(lo, reach), a)
+        if hi - lo <= 2.0 * (2.0 * math.ulp(1.0) * abs(a) + 0.5 * _SHOOT_A_TOL):
+            break
+        a -= miss / slope
+        if not (lo <= a <= hi and hi - lo <= 0.5 * width):
+            a = 0.5 * (lo + hi)
+    return HcSolution(t=t, alpha=alpha, q0=q0, a=a, q=1.0 + math.exp(a),
+                      residual=abs(miss) * 2.0 / LN2, evaluations=shots)
 
 
 def psi_bound(alpha: float, rho: float) -> ExponentBound:

@@ -274,6 +274,17 @@ class TestHcCommand:
         assert payload["steps"] == sol.steps
         assert "bracket_sign_changes" not in payload
 
+    def test_solve_reports_its_bracket(self, capsys):
+        code, out, _ = run_cli(
+            capsys, "hc", "--alpha", "0.3", "--q0", "3", "--t", "0.2", "--json"
+        )
+        assert code == 0
+        payload = json.loads(out)
+        lo, hi = payload["bracket"]
+        assert (lo, hi) == solve_q(0.3, 3.0, 0.2).bracket
+        assert hi - lo == pytest.approx(0.4 * (1 / math.log(2) - 1))
+        assert lo <= payload["a"] <= hi
+
     def test_psi_at_rho(self, capsys):
         code, out, _ = run_cli(
             capsys, "hc", "--alpha", "0.5", "--rho", "0.95", "--json"

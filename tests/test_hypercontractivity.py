@@ -7,6 +7,7 @@ their stated first-order expansions, and a direct finite-n verification
 of the norm inequality they certify.
 """
 
+import itertools
 import math
 import random
 import time
@@ -67,7 +68,7 @@ def mpmath_q(alpha, q0, t, a_start):
     dy / (lam - b) and 1/C = lam / (2 - 4 sqrt(y(1-y))), so the time to
     reach ln(q0-1) is an elementary integral over y from h^-1(alpha) to
     the yT with lam(yT) = b q0/(q0-1).  mpmath's tanh-sinh rule integrates
-    it and its secant method solves t(a) = t, started at ``a_start``.
+    it, and two secant steps from ``a_start`` solve t(a) = t.
     h^-1 brackets its root: 2y <= h(y) <= 2 sqrt(y) on [0, 1/2] put
     h^-1(level) in [level^2/4, level/2].
     """
@@ -95,9 +96,14 @@ def mpmath_q(alpha, q0, t, a_start):
 
             return mpmath.quad(integrand, [y0, y_end])
 
-        a_start = mpmath.mpf(a_start)
-        root = mpmath.findroot(lambda a: time_to_target(a) - t, (a_start, a_start - 1e-9))
-        return 1 + mpmath.exp(root)
+        # Two secant steps from the float root, about 1e-15 off: the first
+        # leaves an error near 1e-15 * 1e-12, the second one below 1e-32.
+        a0 = mpmath.mpf(a_start)
+        a1 = a0 - mpmath.mpf("1e-12")
+        f0, f1 = time_to_target(a0) - t, time_to_target(a1) - t
+        a2 = a1 - f1 * (a1 - a0) / (f1 - f0)
+        f2 = time_to_target(a2) - t
+        return 1 + mpmath.exp(a2 - f2 * (a2 - a1) / (f2 - f1))
 
 
 def lam_at(y):
@@ -343,17 +349,18 @@ class TestSolveQ:
         assert solve_q(0.5, 2.0, 0.1).steps <= 400
 
     def test_evaluations_count_the_ode_solves(self, monkeypatch):
-        # Each shot evaluates the pole-free integrand at 2 x 24 nodes and
-        # inverts the entropy twice, for y_U and for the pole inside C(b);
-        # y_a = h^-1(alpha) is inverted once per solve.
+        # Each shot runs both 24-node panels once, for t(a) and t'(a)
+        # together, and inverts the entropy twice, for y_U and y_b; y_a =
+        # h^-1(alpha) is inverted once per solve, and no shot calls C.
         nodes, inversions, c_calls = [], [], []
-        real_node = hc_module._pole_free
+        real_rule = hc_module._quad_rule
         real_inv = hc_module.binary_entropy_inv
         real_c = hc_module.c_function
 
-        def counted_node(*args):
-            nodes.append(args)
-            return real_node(*args)
+        def counted_rule():
+            for node in real_rule():
+                nodes.append(node)
+                yield node
 
         def counted_inv(y):
             inversions.append(y)
@@ -363,17 +370,54 @@ class TestSolveQ:
             c_calls.append(lam)
             return real_c(lam)
 
-        monkeypatch.setattr(hc_module, "_pole_free", counted_node)
+        monkeypatch.setattr(hc_module, "_quad_rule", counted_rule)
         monkeypatch.setattr(hc_module, "binary_entropy_inv", counted_inv)
         monkeypatch.setattr(hc_module, "c_function", counted_c)
         sol = solve_q(0.5, 2.0, 0.1)
-        # One quadrature per shot: the two bracket ends, then at least
-        # one root iteration.
-        assert 2 < sol.evaluations < 2 + 40
+        # One quadrature per Newton shot; no shot lands on a bracket end.
+        assert 1 <= sol.evaluations <= 3
         assert sol.steps == len(nodes) == sol.evaluations * 48
-        assert len(c_calls) == sol.evaluations
+        assert c_calls == []
         assert len(inversions) == 1 + 2 * sol.evaluations
         assert solve_q(0.5, 2.0, 0.0).evaluations == 0
+
+    def test_reference_solve_takes_three_shots(self):
+        # The second-order start misses t by about 6e-5 and one Newton step
+        # by about 2e-10; the third shot lands within the tolerance.
+        assert solve_q(0.5, 2.0, 0.1).evaluations <= 3
+
+    def test_shot_slope_matches_central_difference(self):
+        rng = random.Random(32)
+        for _ in range(40):
+            alpha = 10 ** rng.uniform(-9, math.log10(0.99))
+            q0, t = 10 ** rng.uniform(0.1, 4), 10 ** rng.uniform(-3, 0.5)
+            target = math.log(q0 - 1)
+            a = target - t * rng.uniform(2, 2 / LN2)
+            y_a = hc_module.binary_entropy_inv(alpha)
+            inv_c_beta = hc_module._c_terms((1 - alpha) * LN2, y_a)[0]
+
+            def shot(at):
+                return hc_module._shot(alpha, at, target, y_a, inv_c_beta)
+
+            h = 1e-5 * max(1.0, abs(a))
+            central = (shot(a + h)[0] - shot(a - h)[0]) / (2 * h)
+            assert shot(a)[1] == pytest.approx(central, rel=1e-6)
+
+    def test_extreme_solves_stay_under_the_bisection_cap(self):
+        # A shot that fails to halve the bracket is followed by a bisection,
+        # so the bracket halves at least every second shot, and the solve
+        # stops once it is 1e-14 wide (twice the least tolerance, 5e-15).
+        for alpha, q0, t in itertools.product(
+            (5e-324, 1e-12, 1e-8, 0.5, 1 - 1e-12), (1.5, 2.0, 1e6, 1e16), (1e-13, 1e-3, 0.5, 5.0)
+        ):
+            try:
+                sol = solve_q(alpha, q0, t)
+            except ValueError:
+                continue
+            lo, hi = sol.bracket
+            cap = max(1, 2 * math.ceil(math.log2((hi - lo) / 1e-14)))
+            assert sol.evaluations <= cap, (alpha, q0, t)
+            assert lo <= sol.a <= hi, (alpha, q0, t)
 
     def test_time_below_float_resolution_returns_q0(self):
         # 2t vanishes against ln(q0 - 1), so the bracket is one point; its
